@@ -346,7 +346,10 @@ impl MemController {
 
     /// Tier engine counters (zeros on a single-tier machine).
     pub fn tier_stats(&self) -> TierStats {
-        self.tier.as_deref().map(TierEngine::stats).unwrap_or_default()
+        self.tier
+            .as_deref()
+            .map(TierEngine::stats)
+            .unwrap_or_default()
     }
 
     /// Tier fault counters (zeros when no tier or no tier faults).
@@ -1039,7 +1042,7 @@ impl MemController {
         // issues in order, like the paper's published scheduler).
         let done = match tier.as_deref_mut() {
             Some(te) => te.run_batch(dram, merge_scratch, kind, t)?,
-            None => sched.run_batch_sized(dram, merge_scratch, kind, t).done,
+            None => sched.run_batch_done(dram, merge_scratch, kind, t),
         };
         desc.note_gather(merge_scratch.len() as u64);
         bd.dram += done.saturating_sub(t);

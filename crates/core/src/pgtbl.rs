@@ -53,27 +53,43 @@ pub struct PgTblStats {
     pub walks: u64,
 }
 
-/// Slots in the direct-mapped front cache over the on-chip TLB (a host
-/// optimization mirroring `Machine::xlat`, not an architectural
-/// structure: front hits behave exactly like TLB hits).
-const FRONT_SLOTS: usize = 32;
-/// Tag marking an empty front-cache slot.
-const FRONT_EMPTY: u64 = u64::MAX;
+/// "No slot": a mapping not resident in the TLB, or the end of the LRU
+/// list.
+const NIL: u32 = u32::MAX;
+/// Page tag of a free TLB slot (pv pages are at most 52 bits).
+const FREE: u64 = u64::MAX;
+
+/// One installed mapping and where its translation sits in the TLB.
+#[derive(Clone, Copy, Debug)]
+struct Mapping {
+    frame: MAddr,
+    /// TLB slot holding this page, or [`NIL`] when not resident.
+    slot: u32,
+}
 
 /// Controller page table with an on-chip TLB.
+///
+/// The TLB is fully associative with LRU replacement. Each mapping
+/// carries its TLB slot, so a translation is one hash probe; LRU order
+/// is an intrusive doubly-linked list over the slots. The list holds
+/// every slot: free slots form its head end, then resident pages from
+/// least to most recently used. A miss therefore always refills `head`
+/// — a free slot while one exists, else the LRU victim. Which slot a
+/// page occupies is unobservable; only the list order is.
 #[derive(Clone, Debug)]
 pub struct PgTbl {
     cfg: PgTblConfig,
-    map: FxHashMap<u64, MAddr>,
-    /// Fully-associative LRU TLB over pv pages (small; linear scan).
-    tlb: Vec<(u64, u64)>, // (pv page, stamp)
-    tick: u64,
+    map: FxHashMap<u64, Mapping>,
+    /// pv page held by each TLB slot ([`FREE`] when empty).
+    pages: Vec<u64>,
+    /// LRU links per slot, toward `head` (`prev`) and `tail` (`next`).
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Next slot to refill: free, or the least recently used.
+    head: u32,
+    /// Most recently used slot.
+    tail: u32,
     stats: PgTblStats,
-    /// Direct-mapped memo of recent TLB hits: (pv page, frame base, TLB
-    /// slot). A hit must still bump the slot's LRU stamp, so the slot
-    /// index is cached and re-validated against the TLB on use; any
-    /// mismatch (eviction, unmap, flush) falls through to the full path.
-    front: [(u64, u64, usize); FRONT_SLOTS],
     /// Optional deterministic corruption of cached entries.
     faults: Option<PgTblInjector>,
 }
@@ -87,15 +103,20 @@ impl PgTbl {
             tlb_entries: cfg.tlb_entries.max(1),
             ..cfg
         };
-        Self {
+        let n = cfg.tlb_entries;
+        let mut pt = Self {
             cfg,
             map: FxHashMap::default(),
-            tlb: Vec::new(),
-            tick: 0,
+            pages: vec![FREE; n],
+            prev: vec![NIL; n],
+            next: vec![NIL; n],
+            head: NIL,
+            tail: NIL,
             stats: PgTblStats::default(),
-            front: [(FRONT_EMPTY, 0, 0); FRONT_SLOTS],
             faults: None,
-        }
+        };
+        pt.reset_tlb();
+        pt
     }
 
     /// Attaches a deterministic MC-TLB/page-table corruption injector.
@@ -113,16 +134,6 @@ impl PgTbl {
             .unwrap_or_default()
     }
 
-    /// Drops any front-cache memo for one pv page (mapping or TLB slot
-    /// contents changed).
-    #[inline]
-    fn front_invalidate(&mut self, pv_page: u64) {
-        let slot = &mut self.front[(pv_page as usize) & (FRONT_SLOTS - 1)];
-        if slot.0 == pv_page {
-            slot.0 = FRONT_EMPTY;
-        }
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> PgTblStats {
         self.stats
@@ -133,7 +144,63 @@ impl PgTbl {
         self.stats = PgTblStats::default();
     }
 
+    /// Empties every TLB slot and links them in index order. Mappings
+    /// must already have their slots cleared.
+    fn reset_tlb(&mut self) {
+        let n = self.pages.len() as u32;
+        self.pages.fill(FREE);
+        for s in 0..n {
+            self.prev[s as usize] = s.checked_sub(1).unwrap_or(NIL);
+            self.next[s as usize] = if s + 1 < n { s + 1 } else { NIL };
+        }
+        self.head = 0;
+        self.tail = n - 1;
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let (p, n) = (self.prev[s as usize], self.next[s as usize]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    // The list always holds every slot, so once `s` is known not to be
+    // the tail (head), unlinking it leaves a tail (head) to relink to.
+
+    /// Marks slot `s` most recently used.
+    #[inline]
+    fn touch(&mut self, s: u32) {
+        if s == self.tail {
+            return;
+        }
+        self.unlink(s);
+        self.prev[s as usize] = self.tail;
+        self.next[s as usize] = NIL;
+        self.next[self.tail as usize] = s;
+        self.tail = s;
+    }
+
+    /// Empties slot `s` and moves it to the head, refilled next.
+    fn free_slot(&mut self, s: u32) {
+        self.pages[s as usize] = FREE;
+        if s == self.head {
+            return;
+        }
+        self.unlink(s);
+        self.prev[s as usize] = NIL;
+        self.next[s as usize] = self.head;
+        self.prev[self.head as usize] = s;
+        self.head = s;
+    }
+
     /// Installs (or replaces) the mapping for one pseudo-virtual page.
+    /// A replaced mapping keeps its TLB residency; the next hit serves
+    /// the new frame.
     ///
     /// `frame` must be page-aligned; the OS allocator only produces
     /// aligned frames, so this is an internal invariant (debug-checked).
@@ -142,20 +209,20 @@ impl PgTbl {
             frame.raw().is_multiple_of(PAGE_SIZE),
             "page frames must be page-aligned: {frame:?}"
         );
-        self.map.insert(pv_page, frame);
-        // A replaced mapping may still have a (now stale) frame memoized.
-        self.front_invalidate(pv_page);
+        self.map
+            .entry(pv_page)
+            .and_modify(|m| m.frame = frame)
+            .or_insert(Mapping { frame, slot: NIL });
     }
 
     /// Removes the mapping for a pseudo-virtual page and drops any cached
     /// translation.
     pub fn unmap_page(&mut self, pv_page: u64) {
-        self.map.remove(&pv_page);
-        self.tlb.retain(|&(p, _)| p != pv_page);
-        // `retain` shifts TLB slots, so every memoized slot index is now
-        // suspect; the per-use revalidation catches survivors that moved,
-        // but the unmapped page itself must go now.
-        self.front_invalidate(pv_page);
+        if let Some(Mapping { slot, .. }) = self.map.remove(&pv_page) {
+            if slot != NIL {
+                self.free_slot(slot);
+            }
+        }
     }
 
     /// Number of installed page mappings.
@@ -173,7 +240,7 @@ impl PgTbl {
     pub fn resolve(&self, pv: PvAddr) -> Option<MAddr> {
         self.map
             .get(&(pv.raw() >> PAGE_SHIFT))
-            .map(|frame| frame.add(pv.page_offset()))
+            .map(|m| m.frame.add(pv.page_offset()))
     }
 
     /// Translates a pseudo-virtual address; returns the DRAM address and
@@ -192,58 +259,45 @@ impl PgTbl {
         let _span = impulse_obs::prof::span("mc.translate");
         self.stats.lookups += 1;
         let pv_page = pv.raw() >> PAGE_SHIFT;
+        // The injector is consulted once per translation, hit or not.
+        let corrupt = self.faults.as_mut().is_some_and(|f| f.corrupts(now));
 
-        // Fault injection: flip bits in the cached copy of this page's
-        // entry. The parity check detects it at use; the entry is
-        // discarded and reloaded below from the memory-resident table
-        // (the authoritative copy), charging the walk as recovery.
-        let mut reloading_corrupt_entry = false;
-        if let Some(f) = &mut self.faults {
-            if f.corrupts(now) && self.tlb.iter().any(|&(p, _)| p == pv_page) {
-                f.note_corruption();
-                self.tlb.retain(|&(p, _)| p != pv_page);
-                self.front_invalidate(pv_page);
-                reloading_corrupt_entry = true;
-            }
-        }
-
-        // Front cache: a validated hit is a TLB hit without the map
-        // lookup or the linear scan. Stats and the LRU stamp advance
-        // exactly as on the full path, so cycle-level behavior (and thus
-        // every simulated result) is unchanged.
-        let fslot = (pv_page as usize) & (FRONT_SLOTS - 1);
-        let (tag, frame_base, tslot) = self.front[fslot];
-        if tag == pv_page {
-            if let Some(entry) = self.tlb.get_mut(tslot) {
-                if entry.0 == pv_page {
-                    self.tick += 1;
-                    entry.1 = self.tick;
-                    self.stats.tlb_hits += 1;
-                    return Ok((MAddr::new(frame_base).add(pv.page_offset()), now));
-                }
-            }
-            self.front[fslot].0 = FRONT_EMPTY;
-        }
-
-        let Some(&frame) = self.map.get(&pv_page) else {
+        let Some(entry) = self.map.get_mut(&pv_page) else {
             return Err(McError::PvUnmapped(pv_page));
         };
-        let maddr = frame.add(pv.page_offset());
-
-        self.tick += 1;
-        if let Some((slot, entry)) = self
-            .tlb
-            .iter_mut()
-            .enumerate()
-            .find(|(_, (p, _))| *p == pv_page)
-        {
-            entry.1 = self.tick;
+        let maddr = entry.frame.add(pv.page_offset());
+        let resident = entry.slot;
+        if resident != NIL && !corrupt {
             self.stats.tlb_hits += 1;
-            self.front[fslot] = (pv_page, frame.raw(), slot);
+            self.touch(resident);
             return Ok((maddr, now));
         }
+        let reloading_corrupt_entry = resident != NIL;
+        let slot = if reloading_corrupt_entry {
+            // Fault injection flipped bits in the cached copy of this
+            // entry. The parity check detects it at use; the entry is
+            // discarded and reloaded in place from the memory-resident
+            // table (the authoritative copy), charging the walk as
+            // recovery.
+            if let Some(f) = &mut self.faults {
+                f.note_corruption();
+            }
+            resident
+        } else {
+            // TLB miss: refill `head`, evicting its page if it holds one.
+            let slot = self.head;
+            entry.slot = slot;
+            let victim = std::mem::replace(&mut self.pages[slot as usize], pv_page);
+            if victim != FREE {
+                if let Some(m) = self.map.get_mut(&victim) {
+                    m.slot = NIL;
+                }
+            }
+            slot
+        };
+        self.touch(slot);
 
-        // TLB miss: read the memory-resident table entry.
+        // Read the memory-resident table entry.
         self.stats.walks += 1;
         let entry_addr = self
             .cfg
@@ -255,59 +309,47 @@ impl PgTbl {
                 f.note_reload(ready - now);
             }
         }
-
-        let slot = if self.tlb.len() < self.cfg.tlb_entries {
-            self.tlb.push((pv_page, self.tick));
-            self.tlb.len() - 1
-        } else {
-            // The TLB is full (≥ 1 entry), so a minimum always exists.
-            let victim = self
-                .tlb
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(_, stamp))| stamp)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            self.tlb[victim] = (pv_page, self.tick);
-            victim
-        };
-        self.front[fslot] = (pv_page, frame.raw(), slot);
         Ok((maddr, ready))
     }
 
     /// Drops all cached translations (mappings stay installed).
     pub fn flush_tlb(&mut self) {
-        self.tlb.clear();
-        self.front = [(FRONT_EMPTY, 0, 0); FRONT_SLOTS];
+        for &p in &self.pages {
+            if let Some(m) = self.map.get_mut(&p) {
+                m.slot = NIL;
+            }
+        }
+        self.reset_tlb();
     }
 
     /// Serializes installed mappings (sorted by page for determinism),
-    /// the on-chip TLB verbatim (slot order carries front-cache memoized
-    /// indices), the LRU tick, the front cache, statistics, and any
-    /// fault-injector dynamic state.
+    /// the TLB's resident pages from least to most recently used,
+    /// statistics, and any fault-injector dynamic state.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_PGTBL);
-        let mut pages: Vec<(u64, u64)> = self.map.iter().map(|(&p, m)| (p, m.raw())).collect();
+        let mut pages: Vec<(u64, u64)> =
+            self.map.iter().map(|(&p, m)| (p, m.frame.raw())).collect();
         pages.sort_unstable();
         w.usize(pages.len());
         for (p, m) in pages {
             w.u64(p);
             w.u64(m);
         }
-        w.usize(self.tlb.len());
-        for &(p, stamp) in &self.tlb {
-            w.u64(p);
-            w.u64(stamp);
+        let mut lru = Vec::new();
+        let mut s = self.head;
+        while s != NIL {
+            if self.pages[s as usize] != FREE {
+                lru.push(self.pages[s as usize]);
+            }
+            s = self.next[s as usize];
         }
-        w.u64(self.tick);
+        w.usize(lru.len());
+        for p in lru {
+            w.u64(p);
+        }
         w.u64(self.stats.lookups);
         w.u64(self.stats.tlb_hits);
         w.u64(self.stats.walks);
-        for &(tag, frame, slot) in &self.front {
-            w.u64(tag);
-            w.u64(frame);
-            w.usize(slot);
-        }
         w.bool(self.faults.is_some());
         if let Some(f) = &self.faults {
             f.snap_save(w);
@@ -322,28 +364,29 @@ impl PgTbl {
         self.map.clear();
         for _ in 0..n {
             let p = r.u64()?;
-            let m = r.u64()?;
-            self.map.insert(p, MAddr::new(m));
+            let frame = MAddr::new(r.u64()?);
+            self.map.insert(p, Mapping { frame, slot: NIL });
         }
-        let tlb_len = r.usize()?;
-        if tlb_len > self.cfg.tlb_entries {
+        let resident = r.usize()?;
+        if resident > self.cfg.tlb_entries {
             return Err(SnapError::Geometry("MC-TLB entry count"));
         }
-        self.tlb.clear();
-        for _ in 0..tlb_len {
+        self.reset_tlb();
+        // Refill in LRU order: each page takes the head slot and moves
+        // to the tail, rebuilding the list exactly.
+        for _ in 0..resident {
             let p = r.u64()?;
-            let stamp = r.u64()?;
-            self.tlb.push((p, stamp));
+            let slot = self.head;
+            match self.map.get_mut(&p) {
+                Some(m) if m.slot == NIL => m.slot = slot,
+                _ => return Err(SnapError::Geometry("MC-TLB entry without a mapping")),
+            }
+            self.pages[slot as usize] = p;
+            self.touch(slot);
         }
-        self.tick = r.u64()?;
         self.stats.lookups = r.u64()?;
         self.stats.tlb_hits = r.u64()?;
         self.stats.walks = r.u64()?;
-        for slot in &mut self.front {
-            slot.0 = r.u64()?;
-            slot.1 = r.u64()?;
-            slot.2 = r.usize()?;
-        }
         let had_faults = r.bool()?;
         match (&mut self.faults, had_faults) {
             (Some(f), true) => f.snap_load(r)?,
@@ -447,14 +490,14 @@ mod tests {
 
     #[test]
     fn remap_while_tlb_resident_serves_new_frame() {
-        // The front cache memoizes (page, frame); replacing the mapping
-        // must not let a memoized translation serve the old frame.
+        // Replacing a resident page's mapping keeps its TLB slot; the
+        // hit must serve the new frame, not the old one.
         let (mut pt, mut dram) = setup();
         pt.map_page(3, MAddr::new(0x8000));
         pt.translate(PvAddr::new(3 * PAGE_SIZE), &mut dram, 0)
-            .unwrap(); // walk, memoize
+            .unwrap(); // walk
         pt.translate(PvAddr::new(3 * PAGE_SIZE), &mut dram, 0)
-            .unwrap(); // front hit
+            .unwrap(); // hit
         pt.map_page(3, MAddr::new(0xa000));
         let (m, _) = pt
             .translate(PvAddr::new(3 * PAGE_SIZE + 4), &mut dram, 0)
@@ -463,25 +506,31 @@ mod tests {
     }
 
     #[test]
-    fn unmap_then_remap_other_page_keeps_front_consistent() {
-        // unmap_page shifts TLB slots via retain; stale memoized slot
-        // indices must revalidate instead of serving wrong entries.
+    fn unmap_frees_its_slot_and_spares_others() {
+        // unmap_page frees page 1's slot; page 2 keeps its own slot
+        // and still hits, and the freed slot takes the next miss.
         let (mut pt, mut dram) = setup();
         pt.map_page(1, MAddr::new(0x1000));
         pt.map_page(2, MAddr::new(0x2000));
         pt.translate(PvAddr::new(PAGE_SIZE), &mut dram, 0).unwrap();
         pt.translate(PvAddr::new(2 * PAGE_SIZE), &mut dram, 0)
             .unwrap();
-        pt.unmap_page(1); // page 2 shifts from slot 1 to slot 0
+        pt.unmap_page(1);
         let (m, _) = pt
             .translate(PvAddr::new(2 * PAGE_SIZE + 8), &mut dram, 0)
             .unwrap();
         assert_eq!(m, MAddr::new(0x2008));
         assert_eq!(pt.stats().walks, 2, "page 2 is still TLB-resident");
+        pt.map_page(3, MAddr::new(0x3000));
+        pt.translate(PvAddr::new(3 * PAGE_SIZE), &mut dram, 0)
+            .unwrap(); // walk into the freed slot, no eviction
+        pt.translate(PvAddr::new(2 * PAGE_SIZE), &mut dram, 0)
+            .unwrap();
+        assert_eq!(pt.stats().walks, 3, "page 2 survived page 3's refill");
     }
 
     #[test]
-    fn front_hits_match_full_path_stats() {
+    fn repeated_hits_are_free_and_counted() {
         let (mut pt, mut dram) = setup();
         pt.map_page(9, MAddr::new(0x9000));
         pt.translate(PvAddr::new(9 * PAGE_SIZE), &mut dram, 0)
@@ -491,7 +540,7 @@ mod tests {
                 .translate(PvAddr::new(9 * PAGE_SIZE + i), &mut dram, 5)
                 .unwrap();
             assert_eq!(m, MAddr::new(0x9000 + i));
-            assert_eq!(ready, 5, "front hits are free, like TLB hits");
+            assert_eq!(ready, 5, "TLB hits are free");
         }
         assert_eq!(pt.stats().lookups, 11);
         assert_eq!(pt.stats().tlb_hits, 10);

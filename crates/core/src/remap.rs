@@ -479,12 +479,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "power of two")]
+    #[cfg(debug_assertions)]
     fn strided_rejects_non_pow2_object() {
         let _ = RemapFn::strided(pv(0), 24, 100);
     }
 
     #[test]
     #[should_panic(expected = "beyond indirection vector")]
+    #[cfg(debug_assertions)]
     fn gather_pv_of_checks_bounds() {
         let f = RemapFn::gather(pv(0), 8, Arc::new(vec![1]), pv(0), 4);
         let _ = f.pv_of(8);

@@ -267,7 +267,9 @@ impl TierEngine {
             return;
         }
         let banks = dram.config().banks.min(64);
-        let alive: Vec<u64> = (0..banks).filter(|b| self.dead_banks & (1 << b) == 0).collect();
+        let alive: Vec<u64> = (0..banks)
+            .filter(|b| self.dead_banks & (1 << b) == 0)
+            .collect();
         if alive.is_empty() {
             return;
         }
@@ -456,7 +458,12 @@ impl TierEngine {
             self.stats.writebacks += 1;
             if self
                 .scm
-                .access(tag_line * self.line_bytes, AccessKind::Store, self.line_bytes, t)
+                .access(
+                    tag_line * self.line_bytes,
+                    AccessKind::Store,
+                    self.line_bytes,
+                    t,
+                )
                 .is_err()
             {
                 // The victim's SCM line is dead: the dirty data is
@@ -625,7 +632,9 @@ mod tests {
     fn cache_miss_then_hit() {
         let (mut eng, mut dram) = cache_engine();
         let a = MAddr::new(0x4000);
-        let t1 = eng.access(&mut dram, a, AccessKind::Load, LINE, 0, false).unwrap();
+        let t1 = eng
+            .access(&mut dram, a, AccessKind::Load, LINE, 0, false)
+            .unwrap();
         let t2 = eng
             .access(&mut dram, a, AccessKind::Load, LINE, t1 + 1000, false)
             .unwrap();
@@ -641,7 +650,8 @@ mod tests {
         let sets = 1 << 9; // 64 KB / 128 B
         let a = MAddr::new(0);
         let conflict = MAddr::new(sets * LINE); // same set, different line
-        eng.access(&mut dram, a, AccessKind::Store, LINE, 0, false).unwrap();
+        eng.access(&mut dram, a, AccessKind::Store, LINE, 0, false)
+            .unwrap();
         eng.access(&mut dram, conflict, AccessKind::Load, LINE, 10_000, false)
             .unwrap();
         let s = eng.stats();
@@ -653,7 +663,9 @@ mod tests {
     fn gather_misses_use_fill_buffer_without_installing() {
         let (mut eng, mut dram) = cache_engine();
         let a = MAddr::new(0x8000);
-        let t1 = eng.access(&mut dram, a, AccessKind::Load, 32, 0, true).unwrap();
+        let t1 = eng
+            .access(&mut dram, a, AccessKind::Load, 32, 0, true)
+            .unwrap();
         // Same line, still a gather: fill-buffer hit, near-free.
         let t2 = eng
             .access(&mut dram, a, AccessKind::Load, 32, t1, true)
@@ -678,10 +690,24 @@ mod tests {
         assert_eq!(cfg.visible_capacity(dcfg.capacity), (1 << 16) + (1 << 20));
         let mut eng = TierEngine::new(cfg, &dcfg, LINE);
         let mut dram = Dram::new(dcfg);
-        eng.access(&mut dram, MAddr::new(0x100), AccessKind::Load, LINE, 0, false)
-            .unwrap();
-        eng.access(&mut dram, MAddr::new(1 << 16), AccessKind::Load, LINE, 0, false)
-            .unwrap();
+        eng.access(
+            &mut dram,
+            MAddr::new(0x100),
+            AccessKind::Load,
+            LINE,
+            0,
+            false,
+        )
+        .unwrap();
+        eng.access(
+            &mut dram,
+            MAddr::new(1 << 16),
+            AccessKind::Load,
+            LINE,
+            0,
+            false,
+        )
+        .unwrap();
         let s = eng.stats();
         assert_eq!((s.flat_dram, s.flat_scm), (1, 1));
         assert_eq!(dram.stats().reads, 1);
@@ -736,8 +762,15 @@ mod tests {
         eng.set_faults(&faults);
         let mut dram = Dram::new(dcfg.clone());
         for i in 0..64u64 {
-            eng.access(&mut dram, MAddr::new(i * LINE), AccessKind::Load, LINE, i, false)
-                .expect("cache mode never errors on channel kill");
+            eng.access(
+                &mut dram,
+                MAddr::new(i * LINE),
+                AccessKind::Load,
+                LINE,
+                i,
+                false,
+            )
+            .expect("cache mode never errors on channel kill");
         }
         let f = eng.fault_stats();
         assert!(f.channel_kills >= 1);
@@ -751,14 +784,20 @@ mod tests {
         faults.tag_corrupt = Trigger::EveryN { every: 2, phase: 0 };
         eng.set_faults(&faults);
         let a = MAddr::new(0x2000);
-        let t = eng.access(&mut dram, a, AccessKind::Load, LINE, 0, false).unwrap();
+        let t = eng
+            .access(&mut dram, a, AccessKind::Load, LINE, 0, false)
+            .unwrap();
         // Re-access: the tag lookup is corrupted (every=2 fires on the
         // plan's next consultation), detected, and refetched from SCM.
-        eng.access(&mut dram, a, AccessKind::Load, LINE, t, false).unwrap();
+        eng.access(&mut dram, a, AccessKind::Load, LINE, t, false)
+            .unwrap();
         let f = eng.fault_stats();
         assert!(f.tag_corruptions >= 1);
         assert_eq!(f.tag_corruptions, f.tag_invalidations);
-        assert!(eng.scm_stats().reads >= 2, "corrupted set refetches from SCM");
+        assert!(
+            eng.scm_stats().reads >= 2,
+            "corrupted set refetches from SCM"
+        );
     }
 
     #[test]

@@ -143,6 +143,26 @@ impl Scheduler {
         BatchOutcome { completions, done }
     }
 
+    /// Like [`Scheduler::run_batch_sized`], but returns only the batch
+    /// completion cycle. In-order batches issue straight from `reqs`
+    /// with no allocation (the controller's per-gather path).
+    pub fn run_batch_done(
+        &self,
+        dram: &mut Dram,
+        reqs: &[(MAddr, u64)],
+        kind: AccessKind,
+        now: Cycle,
+    ) -> Cycle {
+        if self.policy != SchedulePolicy::InOrder {
+            return self.run_batch_sized(dram, reqs, kind, now).done;
+        }
+        reqs.iter()
+            .enumerate()
+            .map(|(slot, &(addr, bytes))| dram.access(addr, kind, bytes, now + slot as Cycle))
+            .max()
+            .unwrap_or(now)
+    }
+
     /// Computes the issue order (indices into `reqs`) for this policy.
     fn issue_order(&self, dram: &Dram, reqs: &[MAddr]) -> Vec<usize> {
         let cfg = dram.config();

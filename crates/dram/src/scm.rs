@@ -240,7 +240,7 @@ impl Scm {
             "SCM access beyond capacity: {offset:#x}+{bytes}"
         );
         let first = self.cfg.line_of(offset);
-        let last = self.cfg.line_of(offset + bytes.saturating_sub(1).max(0));
+        let last = self.cfg.line_of(offset + bytes.saturating_sub(1));
         // Dead-line check up front: rejected accesses consume no timing
         // or fault-stream state, so the schedule stays deterministic.
         for line in first..=last {
@@ -444,7 +444,8 @@ mod tests {
         assert!(before >= 2000 + ScmConfig::default().t_retire);
         // Wear the spare out too: no spare left, the line dies.
         for t in 0..2 {
-            s.access(0, AccessKind::Store, 128, 10_000 + t * 1000).unwrap();
+            s.access(0, AccessKind::Store, 128, 10_000 + t * 1000)
+                .unwrap();
         }
         let err = s.access(0, AccessKind::Store, 128, 20_000).unwrap_err();
         assert_eq!(err, ScmError::LineRetired { line: 0 });

@@ -377,14 +377,17 @@ fn tier_channel_kill_resumes_bit_exactly() {
     // victims. Flat mode turns dead-channel accesses into typed,
     // NACK-degraded rejections, which must also count identically.
     let faults = FaultConfig {
-        seed: 0xDEAD_C4,
+        seed: 0x00DE_ADC4,
         tier_fail: Trigger::EveryN {
             every: 900,
             phase: 300,
         },
         ..FaultConfig::none()
     };
-    for policy in [impulse_types::TierPolicy::Flat, impulse_types::TierPolicy::Cache] {
+    for policy in [
+        impulse_types::TierPolicy::Flat,
+        impulse_types::TierPolicy::Cache,
+    ] {
         let cfg = SystemConfig::paint_small()
             .with_tier(policy)
             .with_faults(faults.clone());
@@ -462,6 +465,3 @@ fn snapshot_is_deterministic() {
         "two snapshots of the same machine must be byte-identical"
     );
 }
-
-
-

@@ -6,14 +6,17 @@
 //! random instances of each property, and a failing case prints the seed
 //! so it can be replayed by fixing `BASE_SEED`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use impulse::cache::{Cache, CacheConfig, Indexing, Outcome, Replacement, Tlb, TlbConfig};
-use impulse::core::{RemapFn, Segment};
+use impulse::core::{McError, PgTbl, PgTblConfig, PgTblStats, RemapFn, Segment};
 use impulse::dram::{Dram, DramConfig, SchedulePolicy, Scheduler};
+use impulse::fault::{FaultPlan, PgTblInjector, Trigger};
 use impulse::os::{AllocPolicy, PhysMem};
-use impulse::types::geom::PAGE_SIZE;
-use impulse::types::{AccessKind, MAddr, PAddr, PvAddr, VAddr};
+use impulse::types::geom::{PAGE_SHIFT, PAGE_SIZE};
+use impulse::types::snap::{SnapReader, SnapWriter};
+use impulse::types::{AccessKind, Cycle, MAddr, PAddr, PvAddr, VAddr};
 
 /// Cases per property.
 const CASES: u64 = 64;
@@ -248,6 +251,13 @@ fn schedulers_serve_everything() {
             assert_eq!(out.done, *out.completions.iter().max().unwrap());
             assert_eq!(dram.stats().bytes, reqs.len() as u64 * 8);
             row_hits.push(dram.stats().row_hits);
+            // The controller's done-only issue agrees with the full batch.
+            let sized: Vec<(MAddr, u64)> = reqs.iter().map(|&a| (a, 8)).collect();
+            let mut fresh = Dram::new(DramConfig::default());
+            let done =
+                Scheduler::new(policy).run_batch_done(&mut fresh, &sized, AccessKind::Load, now);
+            assert_eq!(done, out.done, "{}", policy.name());
+            assert_eq!(fresh.stats(), dram.stats(), "{}", policy.name());
         }
         // Grouping by (bank, row) minimizes row transitions on a cold
         // DRAM, so open-row-first never sees fewer hits than in-order,
@@ -277,6 +287,249 @@ fn dram_is_causal() {
         }
         let s = dram.stats();
         assert_eq!(s.row_hits + s.row_misses, s.reads);
+    });
+}
+
+// ---------------------------------------------------------------- pgtbl
+
+/// The controller page table written the obvious way: the MC-TLB is a
+/// list of `(pv page, stamp)` searched linearly, refilled at the end
+/// while it has room and otherwise at the minimum stamp (LRU).
+struct RefPgTbl {
+    cfg: PgTblConfig,
+    map: HashMap<u64, MAddr>,
+    tlb: Vec<(u64, u64)>,
+    tick: u64,
+    stats: PgTblStats,
+    faults: Option<PgTblInjector>,
+}
+
+impl RefPgTbl {
+    fn new(cfg: PgTblConfig, faults: Option<PgTblInjector>) -> Self {
+        Self {
+            cfg,
+            map: HashMap::new(),
+            tlb: Vec::new(),
+            tick: 0,
+            stats: PgTblStats::default(),
+            faults,
+        }
+    }
+
+    fn apply(
+        &mut self,
+        op: PtOp,
+        dram: &mut Dram,
+        now: Cycle,
+    ) -> Option<Result<(MAddr, Cycle), McError>> {
+        match op {
+            PtOp::Translate(pv) => return Some(self.translate(pv, dram, now)),
+            PtOp::Map(page, frame) => {
+                self.map.insert(page, frame);
+            }
+            PtOp::Unmap(page) => {
+                self.map.remove(&page);
+                self.tlb.retain(|&(p, _)| p != page);
+            }
+            PtOp::Flush => self.tlb.clear(),
+        }
+        None
+    }
+
+    fn translate(
+        &mut self,
+        pv: PvAddr,
+        dram: &mut Dram,
+        now: Cycle,
+    ) -> Result<(MAddr, Cycle), McError> {
+        self.stats.lookups += 1;
+        let page = pv.raw() >> PAGE_SHIFT;
+        // A corrupted cached entry is dropped and walked again.
+        let corrupt = self.faults.as_mut().is_some_and(|f| f.corrupts(now));
+        let reload = corrupt && self.tlb.iter().any(|&(p, _)| p == page);
+        if reload {
+            self.faults.as_mut().unwrap().note_corruption();
+            self.tlb.retain(|&(p, _)| p != page);
+        }
+        let frame = *self.map.get(&page).ok_or(McError::PvUnmapped(page))?;
+        let maddr = frame.add(pv.page_offset());
+        self.tick += 1;
+        if let Some(entry) = self.tlb.iter_mut().find(|(p, _)| *p == page) {
+            entry.1 = self.tick;
+            self.stats.tlb_hits += 1;
+            return Ok((maddr, now));
+        }
+        self.stats.walks += 1;
+        let entry_addr = self
+            .cfg
+            .table_base
+            .add((page % (1 << 17)) * self.cfg.walk_bytes);
+        let ready = dram.access(entry_addr, AccessKind::Load, self.cfg.walk_bytes, now);
+        if reload {
+            self.faults.as_mut().unwrap().note_reload(ready - now);
+        }
+        if self.tlb.len() < self.cfg.tlb_entries {
+            self.tlb.push((page, self.tick));
+        } else {
+            let victim = (0..self.tlb.len()).min_by_key(|&i| self.tlb[i].1).unwrap();
+            self.tlb[victim] = (page, self.tick);
+        }
+        Ok((maddr, ready))
+    }
+}
+
+/// One step of a generated page-table stream.
+#[derive(Clone, Copy, Debug)]
+enum PtOp {
+    Translate(PvAddr),
+    Map(u64, MAddr),
+    Unmap(u64),
+    Flush,
+}
+
+/// A stream over a page universe a few times the TLB size, so hits,
+/// LRU evictions, remaps of resident pages and unmapped lookups all
+/// occur.
+fn pt_ops(g: &mut Gen, tlb_entries: u64) -> Vec<PtOp> {
+    let pages = 2 * tlb_entries + 3;
+    let mut ops: Vec<PtOp> = (0..pages)
+        .map(|p| PtOp::Map(p, MAddr::new(g.range(0, 1 << 16) * PAGE_SIZE)))
+        .collect();
+    ops.extend((0..g.range(200, 600)).map(|_| match g.range(0, 100) {
+        0..=79 => {
+            // Skew toward low pages so a working set stays resident.
+            let hi = if g.bool() { tlb_entries + 1 } else { pages + 1 };
+            PtOp::Translate(PvAddr::new(
+                g.range(0, hi) * PAGE_SIZE + g.range(0, PAGE_SIZE),
+            ))
+        }
+        80..=91 => PtOp::Map(
+            g.range(0, pages + 1),
+            MAddr::new(g.range(0, 1 << 16) * PAGE_SIZE),
+        ),
+        92..=97 => PtOp::Unmap(g.range(0, pages + 1)),
+        _ => PtOp::Flush,
+    }));
+    ops
+}
+
+/// A page table and the DRAM its walks read.
+struct PtRig {
+    pt: PgTbl,
+    dram: Dram,
+}
+
+impl PtRig {
+    fn apply(&mut self, op: PtOp, now: Cycle) -> Option<Result<(MAddr, Cycle), McError>> {
+        match op {
+            PtOp::Translate(pv) => return Some(self.pt.translate(pv, &mut self.dram, now)),
+            PtOp::Map(p, f) => self.pt.map_page(p, f),
+            PtOp::Unmap(p) => self.pt.unmap_page(p),
+            PtOp::Flush => self.pt.flush_tlb(),
+        }
+        None
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.pt.snap_save(&mut w);
+        self.dram.snap_save(&mut w);
+        w.finish()
+    }
+}
+
+/// Drives `PgTbl` and [`RefPgTbl`] with one generated stream and checks
+/// every translation, the statistics and the DRAM traffic agree. Midway
+/// a snapshot is restored into a fresh table that then runs the rest of
+/// the stream alongside the original.
+fn pgtbl_matches_reference(g: &mut Gen, fault_trigger: Option<Trigger>) {
+    for tlb_entries in [1u64, 2, 4, 64] {
+        let cfg = PgTblConfig {
+            tlb_entries: tlb_entries as usize,
+            ..PgTblConfig::default()
+        };
+        let plan_seed = g.u64();
+        let injector = || fault_trigger.map(|t| PgTblInjector::new(FaultPlan::new(t, plan_seed)));
+        let fresh = || {
+            let mut pt = PgTbl::new(cfg);
+            if let Some(inj) = injector() {
+                pt.set_fault_injector(inj);
+            }
+            PtRig {
+                pt,
+                dram: Dram::new(DramConfig::default()),
+            }
+        };
+        let mut model = RefPgTbl::new(cfg, injector());
+        let mut model_dram = Dram::new(DramConfig::default());
+        let mut rigs = vec![fresh()];
+        let ops = pt_ops(g, tlb_entries);
+        let mid = ops.len() / 2;
+        let mut now: Cycle = 0;
+        for (i, &op) in ops.iter().enumerate() {
+            if i == mid {
+                let image = rigs[0].snapshot();
+                let mut restored = fresh();
+                let mut r = SnapReader::new(&image);
+                restored.pt.snap_load(&mut r).unwrap();
+                restored.dram.snap_load(&mut r).unwrap();
+                r.finish().unwrap();
+                assert_eq!(restored.snapshot(), image, "snapshot round trip");
+                rigs.push(restored);
+            }
+            let want = model.apply(op, &mut model_dram, now);
+            let model_faults = model
+                .faults
+                .as_ref()
+                .map(PgTblInjector::stats)
+                .unwrap_or_default();
+            for (k, rig) in rigs.iter_mut().enumerate() {
+                let got = rig.apply(op, now);
+                assert_eq!(got, want, "tlb {tlb_entries}, op {i} {op:?}, copy {k}");
+                assert_eq!(
+                    rig.pt.stats(),
+                    model.stats,
+                    "tlb {tlb_entries}, op {i}, copy {k}"
+                );
+                assert_eq!(rig.pt.fault_stats(), model_faults, "op {i}, copy {k}");
+                assert_eq!(
+                    rig.dram.stats(),
+                    model_dram.stats(),
+                    "tlb {tlb_entries}, op {i}, copy {k}"
+                );
+            }
+            if let Some(Ok((_, ready))) = want {
+                now = if g.bool() {
+                    ready
+                } else {
+                    now + g.range(0, 40)
+                };
+            }
+        }
+    }
+}
+
+/// The single-probe MC-TLB makes exactly the reference's LRU decisions.
+#[test]
+fn pgtbl_matches_linear_lru_reference() {
+    check("pgtbl_matches_linear_lru_reference", |g| {
+        pgtbl_matches_reference(g, None)
+    });
+}
+
+/// The same, with cached entries corrupted and reloaded along the way.
+#[test]
+fn pgtbl_matches_reference_under_corruption() {
+    check("pgtbl_matches_reference_under_corruption", |g| {
+        let trigger = if g.bool() {
+            Trigger::Permille(g.range(50, 400) as u32)
+        } else {
+            Trigger::EveryN {
+                every: g.range(1, 8),
+                phase: g.range(0, 8),
+            }
+        };
+        pgtbl_matches_reference(g, Some(trigger));
     });
 }
 
