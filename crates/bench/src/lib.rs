@@ -22,7 +22,6 @@ pub mod chaos;
 pub mod experiments;
 pub mod harness;
 pub mod journal;
-pub mod replay_mode;
 pub mod runner;
 #[cfg(unix)]
 pub mod serve_support;
@@ -70,9 +69,10 @@ pub fn git_stamp() -> (String, bool) {
 
 /// Builds one `impulse-bench-history-v2` rollup record: a single compact
 /// JSON line capturing how a `run_all` invocation went — the revision
-/// (clean id + dirty flag), seed, job count, and wall-clock totals.
-/// Appended (fsync'd) to `BENCH_history.jsonl`, these lines are the
-/// PR-over-PR perf trajectory.
+/// (clean id + dirty flag), seed, job count, wall-clock totals, the
+/// tier policy, and a constant `"mode": "execute"`. Appended (fsync'd)
+/// to `BENCH_history.jsonl`, these lines are the PR-over-PR perf
+/// trajectory.
 #[allow(clippy::too_many_arguments)]
 pub fn history_record(
     git: &str,
@@ -83,6 +83,7 @@ pub fn history_record(
     failed: u64,
     total_wall_ns: u64,
     serial_sum_wall_ns: u64,
+    tier: impulse_types::TierPolicy,
 ) -> Json {
     let mut r = Json::obj();
     r.set("schema", Json::Str(HISTORY_SCHEMA.into()));
@@ -94,6 +95,8 @@ pub fn history_record(
     r.set("failed", Json::UInt(failed));
     r.set("total_wall_ns", Json::UInt(total_wall_ns));
     r.set("serial_sum_wall_ns", Json::UInt(serial_sum_wall_ns));
+    r.set("mode", Json::Str("execute".into()));
+    r.set("tier", Json::Str(tier.name().into()));
     r
 }
 
@@ -235,8 +238,6 @@ pub struct Args {
     pub resume: bool,
     /// `journal=<path>` override for the run journal location.
     pub journal: Option<String>,
-    /// `mode=<execute|replay>` backend selector (binary-interpreted).
-    pub mode: Option<String>,
     /// `key=value` overrides.
     pub overrides: Vec<(String, u64)>,
     /// Raw `jobs=` value; validated (typed) by [`Args::jobs`].
@@ -258,8 +259,6 @@ impl Args {
                 out.resume = true;
             } else if let Some(v) = a.strip_prefix("journal=") {
                 out.journal = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("mode=") {
-                out.mode = Some(v.to_string());
             } else if let Some(v) = a.strip_prefix("jobs=") {
                 out.jobs_raw = Some(v.to_string());
             } else if let Some((k, v)) = a.split_once('=') {
@@ -322,7 +321,17 @@ mod tests {
 
     #[test]
     fn history_record_round_trips_and_appends() {
-        let rec = history_record("v1.2-3-gabc", true, 7, 4, 24, 1, 1_000, 3_000);
+        let rec = history_record(
+            "v1.2-3-gabc",
+            true,
+            7,
+            4,
+            24,
+            1,
+            1_000,
+            3_000,
+            impulse_types::TierPolicy::None,
+        );
         assert_eq!(
             rec.get("schema").and_then(Json::as_str),
             Some(HISTORY_SCHEMA)

@@ -9,7 +9,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use impulse::cache::{Cache, CacheConfig, Indexing, Outcome, Replacement, Tlb, TlbConfig};
+use impulse::cache::{
+    Cache, CacheConfig, Indexing, Outcome, Replacement, Tlb, TlbConfig, TlbStats,
+};
 use impulse::core::{McError, PgTbl, PgTblConfig, PgTblStats, RemapFn, Segment};
 use impulse::dram::{Dram, DramConfig, SchedulePolicy, Scheduler};
 use impulse::fault::{FaultPlan, PgTblInjector, Trigger};
@@ -228,6 +230,186 @@ fn tlb_small_working_set_converges() {
         // Second pass: everything hits.
         for &p in &pages {
             assert!(t.lookup(p), "page {p} missed on the second pass");
+        }
+    });
+}
+
+/// The CPU TLB written the obvious way: a slot list of
+/// `(base page, span, referenced)` searched linearly. A refill takes the
+/// first invalid slot, else the first unreferenced one, else clears
+/// every reference bit and takes slot 0 (NRU).
+struct RefTlb {
+    slots: Vec<Option<(u64, u64, bool)>>,
+    stats: TlbStats,
+}
+
+impl RefTlb {
+    fn new(entries: usize) -> Self {
+        Self {
+            slots: vec![None; entries],
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn covering(&self, vpage: u64) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.is_some_and(|(base, span, _)| vpage >= base && vpage < base + span))
+    }
+
+    fn lookup(&mut self, vpage: u64) -> bool {
+        self.stats.lookups += 1;
+        let Some(i) = self.covering(vpage) else {
+            return false;
+        };
+        if let Some(entry) = &mut self.slots[i] {
+            entry.2 = true;
+        }
+        self.stats.hits += 1;
+        true
+    }
+
+    fn insert(&mut self, base: u64, span: u64) {
+        self.stats.inserts += 1;
+        let victim = match self.slots.iter().position(Option::is_none) {
+            Some(i) => i,
+            None => match self.slots.iter().position(|s| s.is_some_and(|e| !e.2)) {
+                Some(i) => i,
+                None => {
+                    for (_, _, referenced) in self.slots.iter_mut().flatten() {
+                        *referenced = false;
+                    }
+                    0
+                }
+            },
+        };
+        if self.slots[victim].is_some() {
+            self.stats.evictions += 1;
+        }
+        self.slots[victim] = Some((base, span, true));
+    }
+
+    fn flush_page(&mut self, vpage: u64) -> bool {
+        self.covering(vpage).map(|i| self.slots[i] = None).is_some()
+    }
+
+    fn flush(&mut self) {
+        self.slots.fill(None);
+    }
+}
+
+/// One step of a generated CPU TLB stream.
+#[derive(Clone, Copy, Debug)]
+enum TlbOp {
+    Access(u64),
+    FlushPage(u64),
+    Flush,
+}
+
+/// A page → `(base page, span)` map over `pages` pages in which aligned
+/// runs of 2–16 pages share one superpage entry, the way the kernel
+/// reports a superpage's span for every page in it.
+fn tlb_spans(g: &mut Gen, pages: u64) -> Vec<(u64, u64)> {
+    let mut spans = Vec::new();
+    while (spans.len() as u64) < pages {
+        let page = spans.len() as u64;
+        let span = 1u64 << g.range(1, 5);
+        let span = if g.range(0, 4) == 0 && page.is_multiple_of(span) && page + span <= pages {
+            span
+        } else {
+            1
+        };
+        spans.extend((0..span).map(|_| (page, span)));
+    }
+    spans
+}
+
+/// A stream over a page universe a few times the TLB size, so hits,
+/// NRU evictions and shootdowns of resident (super)pages all occur.
+fn tlb_ops(g: &mut Gen, entries: u64, pages: u64) -> Vec<TlbOp> {
+    (0..g.range(200, 800))
+        .map(|_| match g.range(0, 100) {
+            0..=87 => {
+                // Skew toward low pages so a working set stays resident.
+                let hi = if g.bool() { entries + 1 } else { pages };
+                TlbOp::Access(g.range(0, hi))
+            }
+            88..=97 => TlbOp::FlushPage(g.range(0, pages)),
+            _ => TlbOp::Flush,
+        })
+        .collect()
+}
+
+fn tlb_image(t: &Tlb) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    t.snap_save(&mut w);
+    w.finish()
+}
+
+/// `Tlb` makes exactly the linear reference's NRU decisions under the
+/// memory system's traffic shape (a lookup, then an insert of the page's
+/// span only on a miss), with shootdowns and full flushes mixed in.
+/// Midway a snapshot is restored into a fresh TLB that then runs the
+/// rest of the stream alongside the original.
+#[test]
+fn tlb_matches_linear_nru_reference() {
+    check("tlb_matches_linear_nru_reference", |g| {
+        for entries in [1u64, 2, 4, 16, 120] {
+            let cfg = TlbConfig {
+                entries: entries as usize,
+            };
+            let spans = tlb_spans(g, 3 * entries + 16);
+            let ops = tlb_ops(g, entries, spans.len() as u64);
+            let mut model = RefTlb::new(cfg.entries);
+            let mut tlbs = vec![Tlb::new(cfg)];
+            let mid = ops.len() / 2;
+            for (i, &op) in ops.iter().enumerate() {
+                if i == mid {
+                    let image = tlb_image(&tlbs[0]);
+                    let mut restored = Tlb::new(cfg);
+                    let mut r = SnapReader::new(&image);
+                    restored.snap_load(&mut r).unwrap();
+                    r.finish().unwrap();
+                    assert_eq!(tlb_image(&restored), image, "snapshot round trip");
+                    tlbs.push(restored);
+                }
+                let want = match op {
+                    TlbOp::Access(p) => {
+                        let hit = model.lookup(p);
+                        if !hit {
+                            let (base, span) = spans[p as usize];
+                            model.insert(base, span);
+                        }
+                        hit
+                    }
+                    TlbOp::FlushPage(p) => model.flush_page(p),
+                    TlbOp::Flush => {
+                        model.flush();
+                        false
+                    }
+                };
+                for (k, t) in tlbs.iter_mut().enumerate() {
+                    let got = match op {
+                        TlbOp::Access(p) => {
+                            let hit = t.lookup(p);
+                            if !hit {
+                                let (base, span) = spans[p as usize];
+                                t.insert(base, span);
+                            }
+                            hit
+                        }
+                        TlbOp::FlushPage(p) => t.flush_page(p),
+                        TlbOp::Flush => {
+                            t.flush();
+                            false
+                        }
+                    };
+                    assert_eq!(got, want, "tlb {entries}, op {i} {op:?}, copy {k}");
+                    assert_eq!(t.stats(), model.stats, "tlb {entries}, op {i}, copy {k}");
+                    let valid = model.slots.iter().flatten().count();
+                    assert_eq!(t.valid_entries(), valid, "tlb {entries}, op {i}, copy {k}");
+                }
+            }
         }
     });
 }
