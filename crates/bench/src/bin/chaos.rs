@@ -1,60 +1,66 @@
-//! Chaos/soak harness entry point: runs the workload catalog under
-//! generated fault schedules, asserts the robustness invariants, and
-//! writes `results/chaos.json` (schema `impulse-chaos-v1`).
+//! Runs every chaos suite in [`chaos::SUITES`] — the fault-schedule
+//! grid, the capability contention suite and the hybrid-tier suite —
+//! and writes one document per suite under `out_dir=` (default
+//! `results`): `chaos.json`, `chaos_caps.json` and `chaos_tier.json`.
+//! Any argument outside `USAGE` (the legacy `timeout_ms=`/`attempts=`
+//! spellings included) is rejected with exit code 2 before anything
+//! runs or is written.
 //!
-//! Usage: `chaos [seed=<N>] [jobs=<N>] [out=<path>]
-//! [journal=<path>] [watchdog_ms=<N>] [max_retries=<K>] [--resume]`
-//!
-//! Cases fan across `jobs=<N>` worker threads; results are gathered in
-//! submission order and every fault is drawn from a seeded per-site
-//! stream, so the JSON output is byte-identical for a fixed seed at any
-//! worker count. Completed cases are journaled (fsync'd) as they finish;
-//! after a crash, `--resume` reruns only what is missing and emits the
-//! same bytes as an uninterrupted run. Exits nonzero if any invariant
-//! was violated or any case failed to run.
+//! All suites share one pool of `jobs=<N>` workers; results are
+//! gathered in submission order and every case draws only from the
+//! seed, so each document is byte-identical for a fixed seed at any
+//! worker count. Finished cases are journaled (fsync'd) under ids
+//! `<suite>/<case>`; after a crash, `--resume` reruns only what is
+//! missing and writes the same bytes as an uninterrupted run. Exits
+//! nonzero if any suite has a violation or a case that failed to run
+//! (or, resumed from the journal, to decode).
 
-use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
-use impulse_bench::chaos::{chaos_document, chaos_jobs, cross_case_violations, ChaosOutcome};
-use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::runner::CommonArgs;
+use impulse_bench::chaos;
+use impulse_bench::journal;
+use impulse_bench::runner;
+use impulse_obs::Json;
 
-const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out=results/chaos.json] \
+const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out_dir=results] \
 [journal=results/chaos-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
+
+/// Every `key=` prefix `chaos` accepts besides the bare `--resume`.
+const KEYS: [&str; 8] = [
+    "seed=",
+    "jobs=",
+    "out_dir=",
+    "journal=",
+    "watchdog_ms=",
+    "max_retries=",
+    "timeout_ms=",
+    "attempts=",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let common = match runner::parse_args(&args, &KEYS, USAGE, 1999) {
+        Ok(c) => c,
+        Err(code) => return code,
+    };
     let arg = |prefix: &str, default: &str| -> String {
         args.iter()
             .find_map(|a| a.strip_prefix(prefix).map(String::from))
             .unwrap_or_else(|| default.to_string())
     };
-    let path = arg("out=", "results/chaos.json");
+    let out_dir = arg("out_dir=", "results");
     let journal_path = arg("journal=", "results/chaos-journal.jsonl");
     let resume = args.iter().any(|a| a == "--resume");
 
-    let common = match CommonArgs::parse(&args, 1999) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let (jobs, seed, opts) = (common.jobs, common.seed, common.supervise);
-
     let results = match journal::run_resumable(
-        chaos_jobs(seed),
-        seed,
-        jobs,
-        &opts,
+        chaos::catalog(common.seed),
+        common.seed,
+        common.jobs,
+        &common.supervise,
         Path::new(&journal_path),
         resume,
-        &|o: &ChaosOutcome| RunArtifacts {
-            csv: String::new(),
-            json: o.to_json(),
-        },
+        &chaos::artifacts,
     ) {
         Ok(r) => r,
         Err(e) => {
@@ -63,74 +69,35 @@ fn main() -> ExitCode {
         }
     };
 
-    // Rebuild the outcome list (submission order) from the artifacts;
-    // journaled and freshly-run cases are indistinguishable here, which
-    // is what keeps resumed chaos.json byte-identical.
-    let mut outcomes: Vec<ChaosOutcome> = Vec::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    for (id, res) in &results {
-        match res {
-            Ok(a) => match ChaosOutcome::from_json(&a.json) {
-                Some(o) => outcomes.push(o),
-                None => failures.push((id.clone(), "journaled case failed to decode".into())),
-            },
-            Err(e) => failures.push((id.clone(), e.clone())),
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("error: cannot create {out_dir}: {e}");
+        return ExitCode::FAILURE;
+    }
+    let (mut ok, mut written) = (true, Vec::new());
+    for run in chaos::documents(common.seed, &results) {
+        let path = Path::new(&out_dir).join(run.suite.file);
+        if let Err(e) = std::fs::write(&path, format!("{:#}\n", run.doc)) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
         }
-    }
-
-    println!(
-        "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
-        "workload", "scenario", "cycles", "ecc.corr", "ecc.det", "bus.tmo", "pgtbl"
-    );
-    for o in &outcomes {
-        println!(
-            "{:<14} {:<12} {:>12} {:>10} {:>9} {:>9} {:>9}",
-            o.workload,
-            o.scenario,
-            o.cycles,
-            o.ecc.corrected,
-            o.ecc.detected_double,
-            o.bus.timeouts,
-            o.pgtbl.corruptions
-        );
-    }
-
-    let doc = chaos_document(seed, &outcomes);
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    let mut f = std::fs::File::create(&path).expect("create chaos.json");
-    writeln!(f, "{doc:#}").expect("write chaos.json");
-    println!("wrote {path} (seed={seed}, {} cases)", outcomes.len());
-    impulse_bench::print_artifacts(&[&path, &journal_path]);
-
-    let violations: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| o.violations.iter().cloned())
-        .chain(cross_case_violations(&outcomes))
-        .collect();
-
-    let mut failed = false;
-    if !failures.is_empty() {
-        failed = true;
-        eprintln!("{} case(s) failed to run:", failures.len());
-        for (id, e) in &failures {
-            eprintln!("  {id}: {e}");
+        written.push(path.display().to_string());
+        for (id, e) in &run.failures {
+            eprintln!("case failed: {id}: {e}");
         }
-        eprintln!("(recorded in {journal_path}; rerun with --resume)");
+        if let Some(Json::Arr(violations)) = run.doc.get("violations") {
+            for v in violations {
+                eprintln!("invariant violated: {}", v.as_str().unwrap_or_default());
+            }
+        }
+        ok &= run.failures.is_empty() && run.doc.get("ok") == Some(&Json::Bool(true));
     }
-    if violations.is_empty() {
+    written.push(journal_path);
+    impulse_bench::print_artifacts(&written.iter().map(String::as_str).collect::<Vec<_>>());
+    if ok {
         println!("all invariants held");
-    } else {
-        failed = true;
-        eprintln!("{} invariant violation(s):", violations.len());
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
         ExitCode::SUCCESS
+    } else {
+        eprintln!("chaos run failed; rerun failed cases with --resume");
+        ExitCode::FAILURE
     }
 }

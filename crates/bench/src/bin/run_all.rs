@@ -60,7 +60,7 @@ use impulse_bench::experiments::{
     catalog_entries, csv_from_outcomes, document_from_outcomes, report_artifacts, DEFAULT_SEED,
 };
 use impulse_bench::journal;
-use impulse_bench::runner::{self, CommonArgs, SharedJob};
+use impulse_bench::runner::{self, SharedJob};
 use impulse_obs::{prof, Json};
 use impulse_sim::{Machine, Report};
 
@@ -91,24 +91,14 @@ const KEYS: [&str; 14] = [
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(bad) = args
-        .iter()
-        .find(|a| *a != "--resume" && !KEYS.iter().any(|k| a.starts_with(k)))
-    {
-        eprintln!("error: unrecognized argument `{bad}`\n{USAGE}");
-        return ExitCode::from(2);
-    }
+    let common = match runner::parse_args(&args, &KEYS, USAGE, DEFAULT_SEED) {
+        Ok(c) => c,
+        Err(code) => return code,
+    };
     let arg = |prefix: &str, default: &str| -> String {
         args.iter()
             .find_map(|a| a.strip_prefix(prefix).map(String::from))
             .unwrap_or_else(|| default.to_string())
-    };
-    let common = match CommonArgs::parse(&args, DEFAULT_SEED) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
     };
     let path = arg("out=", "results.csv");
     let json_path = arg("json=", "results/run_all.json");

@@ -8,13 +8,14 @@
 //! surfaces as [`OsError::CapTableCorrupt`] while the rest of the table
 //! keeps working.
 //!
-//! Like the fault-schedule grid in [`crate::chaos`], every case is
-//! seeded and the runner gathers results in submission order, so
-//! `results/chaos_caps.json` is byte-identical for a fixed seed at any
-//! worker count.
+//! The suite is the `caps` row of [`crate::chaos::SUITES`]. Like the
+//! fault-schedule grid there, every case is seeded and the runner
+//! gathers results in submission order, so `results/chaos_caps.json` is
+//! byte-identical for a fixed seed at any worker count.
 
 use std::sync::Arc;
 
+use crate::chaos::rollup;
 use crate::runner::SharedJob;
 use impulse_core::McError;
 use impulse_fault::{CapsFaultStats, FaultConfig, Trigger};
@@ -22,30 +23,8 @@ use impulse_obs::Json;
 use impulse_os::{OsError, Pid, RemapGrant};
 use impulse_sim::{Machine, SystemConfig};
 use impulse_types::geom::PAGE_SIZE;
+use impulse_types::ident::splitmix64;
 use impulse_types::VRange;
-
-/// Deterministic splitmix64 stream for the churn scenario. Every draw
-/// comes from the seed, never from the clock, so a case replays
-/// identically on any worker.
-struct Prng(u64);
-
-impl Prng {
-    fn new(seed: u64) -> Self {
-        Self(seed ^ 0x9E37_79B9_7F4A_7C15)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Scenarios in the capability suite.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,7 +225,14 @@ pub fn run_churn(seed: u64) -> CapsOutcome {
     const PROCS: u64 = 24;
     const ROUNDS: usize = 120;
     let (_cfg, mut m) = fresh(control(seed));
-    let mut rng = Prng::new(seed);
+    // A splitmix64 stream: every draw comes from the seed, never from
+    // the clock, so a case replays identically on any worker.
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let mut below = |n: u64| {
+        let draw = splitmix64(state);
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        draw % n
+    };
     let mut violations = Vec::new();
     let mut typed = 0u64;
 
@@ -262,10 +248,10 @@ pub fn run_churn(seed: u64) -> CapsOutcome {
 
     let mut live: Vec<LiveGrant> = Vec::new();
     for _ in 0..ROUNDS {
-        let (actor, buf) = procs[rng.below(PROCS) as usize];
+        let (actor, buf) = procs[below(PROCS) as usize];
         m.sys_switch(actor).expect("switch to actor");
         let owned = live.iter().position(|g| g.owner == actor);
-        match rng.below(3) {
+        match below(3) {
             // Grant: one recolor grant per process at a time; with 24
             // processes contending for 8 descriptors, NoFreeDescriptor
             // is an expected, typed outcome.
@@ -273,7 +259,7 @@ pub fn run_churn(seed: u64) -> CapsOutcome {
                 if owned.is_some() {
                     continue;
                 }
-                let colors = [rng.below(2), rng.below(2) + 2];
+                let colors = [below(2), below(2) + 2];
                 match m.sys_recolor(buf, &colors) {
                     Ok(grant) => live.push(LiveGrant {
                         owner: actor,
@@ -289,7 +275,7 @@ pub fn run_churn(seed: u64) -> CapsOutcome {
             // Share: derive a receiver alias and prove it reads.
             1 => {
                 let Some(i) = owned else { continue };
-                let (peer, _) = procs[rng.below(PROCS) as usize];
+                let (peer, _) = procs[below(PROCS) as usize];
                 if peer == actor {
                     continue;
                 }
@@ -759,65 +745,19 @@ pub fn run_caps_case(s: CapsScenario, seed: u64) -> CapsOutcome {
     }
 }
 
-/// A shared capability-suite job for the supervised runner.
-pub type CapsJob = SharedJob<CapsOutcome>;
-
-/// Every scenario paired with its stable journal id, in deterministic
-/// submission order.
-pub fn caps_chaos_jobs(seed: u64) -> Vec<(String, CapsJob)> {
+/// Every scenario paired with its stable case id, in deterministic
+/// submission order; each job returns the case's JSON.
+pub(crate) fn caps_chaos_jobs(seed: u64) -> Vec<(String, SharedJob<Json>)> {
     CapsScenario::ALL
         .iter()
         .map(|&s| {
-            let id = s.name().to_string();
-            let job: CapsJob = Arc::new(move || run_caps_case(s, seed));
-            (id, job)
+            let job: SharedJob<Json> = Arc::new(move || case_json(&run_caps_case(s, seed)));
+            (s.name().to_string(), job)
         })
         .collect()
 }
 
-impl CapsOutcome {
-    /// Serializes this case for `chaos_caps.json` and the run journal.
-    pub fn to_json(&self) -> Json {
-        case_json(self)
-    }
-
-    /// Rebuilds a case from [`CapsOutcome::to_json`] output (the resume
-    /// path); `None` if the shape is wrong.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let u = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_u64);
-        let caps = v.get("caps")?;
-        let violations = match v.get("violations")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            scenario: v.get("scenario")?.as_str()?.to_string(),
-            cycles: u(v, "cycles")?,
-            instructions: u(v, "instructions")?,
-            grants: u(v, "grants")?,
-            derives: u(v, "derives")?,
-            coalesced: u(v, "coalesced")?,
-            revocations: u(v, "revocations")?,
-            revoked_caps: u(v, "revoked_caps")?,
-            validations: u(v, "validations")?,
-            stale_denials: u(v, "stale_denials")?,
-            typed_faults: u(v, "typed_faults")?,
-            syscall_failures: u(v, "syscall_failures")?,
-            caps: CapsFaultStats {
-                corruptions: u(caps, "corruptions")?,
-                reloads: u(caps, "reloads")?,
-                recovery_cycles: u(caps, "recovery_cycles")?,
-                unrecoverable: u(caps, "unrecoverable")?,
-            },
-            violations,
-        })
-    }
-}
-
-/// JSON for one capability case.
+/// JSON for one capability case — the only definition of its format.
 fn case_json(o: &CapsOutcome) -> Json {
     let mut c = Json::obj();
     c.set("scenario", Json::Str(o.scenario.clone()));
@@ -832,65 +772,57 @@ fn case_json(o: &CapsOutcome) -> Json {
     c.set("stale_denials", Json::UInt(o.stale_denials));
     c.set("typed_faults", Json::UInt(o.typed_faults));
     c.set("syscall_failures", Json::UInt(o.syscall_failures));
-    let mut caps = Json::obj();
-    caps.set("corruptions", Json::UInt(o.caps.corruptions));
-    caps.set("reloads", Json::UInt(o.caps.reloads));
-    caps.set("recovery_cycles", Json::UInt(o.caps.recovery_cycles));
-    caps.set("unrecoverable", Json::UInt(o.caps.unrecoverable));
-    c.set("caps", caps);
+    c.set("caps", caps_faults(&o.caps));
     c.set(
         "violations",
-        Json::Arr(o.violations.iter().map(|s| Json::Str(s.clone())).collect()),
+        Json::Arr(o.violations.iter().cloned().map(Json::Str).collect()),
     );
     c
 }
 
-/// Serializes a capability-suite run: schema `impulse-caps-chaos-v1`,
-/// per-case counters, whole-run totals, and the flattened violation
-/// list (`ok` is true iff it is empty).
-pub fn caps_chaos_document(seed: u64, outcomes: &[CapsOutcome]) -> Json {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::Str("impulse-caps-chaos-v1".into()));
-    doc.set("seed", Json::UInt(seed));
-    doc.set("cases", Json::Arr(outcomes.iter().map(case_json).collect()));
-
-    let sum = |f: fn(&CapsOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
-    let mut totals = Json::obj();
-    totals.set("grants", Json::UInt(sum(|o| o.grants)));
-    totals.set("derives", Json::UInt(sum(|o| o.derives)));
-    totals.set("revocations", Json::UInt(sum(|o| o.revocations)));
-    totals.set("revoked_caps", Json::UInt(sum(|o| o.revoked_caps)));
-    totals.set("validations", Json::UInt(sum(|o| o.validations)));
-    totals.set("stale_denials", Json::UInt(sum(|o| o.stale_denials)));
-    totals.set("typed_faults", Json::UInt(sum(|o| o.typed_faults)));
-    totals.set("syscall_failures", Json::UInt(sum(|o| o.syscall_failures)));
+/// JSON for capability-table fault counters, as both the fault-schedule
+/// grid and this suite write them into their cases.
+pub(crate) fn caps_faults(s: &CapsFaultStats) -> Json {
     let mut caps = Json::obj();
-    caps.set("corruptions", Json::UInt(sum(|o| o.caps.corruptions)));
-    caps.set("reloads", Json::UInt(sum(|o| o.caps.reloads)));
-    caps.set(
-        "recovery_cycles",
-        Json::UInt(sum(|o| o.caps.recovery_cycles)),
-    );
-    caps.set("unrecoverable", Json::UInt(sum(|o| o.caps.unrecoverable)));
-    totals.set("caps", caps);
-    doc.set("totals", totals);
+    caps.set("corruptions", Json::UInt(s.corruptions));
+    caps.set("reloads", Json::UInt(s.reloads));
+    caps.set("recovery_cycles", Json::UInt(s.recovery_cycles));
+    caps.set("unrecoverable", Json::UInt(s.unrecoverable));
+    caps
+}
 
-    let violations: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| o.violations.iter().cloned())
-        .collect();
-    doc.set(
-        "violations",
-        Json::Arr(violations.iter().map(|s| Json::Str(s.clone())).collect()),
-    );
-    doc.set("ok", Json::Bool(violations.is_empty()));
-    doc
+/// `chaos_caps.json` totals: whole-run engine counters, then the
+/// capability-table fault rollup.
+pub(crate) fn totals(cases: &[Json]) -> Option<Json> {
+    let mut totals = rollup(
+        cases,
+        &[
+            ("grants", "grants"),
+            ("derives", "derives"),
+            ("revocations", "revocations"),
+            ("revoked_caps", "revoked_caps"),
+            ("validations", "validations"),
+            ("stale_denials", "stale_denials"),
+            ("typed_faults", "typed_faults"),
+            ("syscall_failures", "syscall_failures"),
+        ],
+    )?;
+    let caps = rollup(
+        cases,
+        &[
+            ("corruptions", "caps.corruptions"),
+            ("reloads", "caps.reloads"),
+            ("recovery_cycles", "caps.recovery_cycles"),
+            ("unrecoverable", "caps.unrecoverable"),
+        ],
+    )?;
+    totals.set("caps", caps);
+    Some(totals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
 
     #[test]
     fn churn_survives_contention_with_typed_errors_only() {
@@ -939,32 +871,5 @@ mod tests {
         let o = run_snapshot_mid_share(1999);
         assert!(o.violations.is_empty(), "{:?}", o.violations);
         assert!(o.typed_faults > 0, "post-restore revocation went typed");
-    }
-
-    #[test]
-    fn outcomes_round_trip_through_json() {
-        let o = run_release_leak(3);
-        let back = CapsOutcome::from_json(&o.to_json()).expect("decode");
-        assert_eq!(o, back);
-    }
-
-    #[test]
-    fn caps_suite_is_deterministic_across_worker_counts() {
-        let run = |workers| {
-            let jobs: Vec<_> = caps_chaos_jobs(1999)
-                .into_iter()
-                .map(|(_, j)| move || j())
-                .collect();
-            let outcomes = runner::run_ordered(jobs, workers);
-            format!("{:#}\n", caps_chaos_document(1999, &outcomes))
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(
-            serial, parallel,
-            "chaos_caps.json must not depend on workers"
-        );
-        assert!(serial.contains("impulse-caps-chaos-v1"));
-        assert!(serial.contains("\"ok\": true"), "suite is violation-free");
     }
 }

@@ -11,14 +11,20 @@
 //! along to check that every typed-error path at the syscall boundary
 //! degrades gracefully instead of panicking.
 //!
-//! Because every fault is drawn from a seeded per-site stream and the
-//! job runner returns results in submission order, the emitted
-//! `results/chaos.json` is **byte-identical** for a fixed seed at any
-//! worker count — that determinism is itself one of the asserted
-//! invariants (see the tests).
+//! This module also holds the one runner frame every chaos suite
+//! shares: the [`SUITES`] table (this grid, [`crate::caps_chaos`] and
+//! [`crate::tier_chaos`]), one catalog for a single worker pool, and
+//! `suite_document`, which builds each suite's document from its case
+//! JSON. Because every fault is drawn from a seeded per-site stream and
+//! the job runner returns results in submission order, each document
+//! (`results/chaos.json` for this grid) is **byte-identical** for a
+//! fixed seed at any worker count — that determinism is itself one of
+//! the asserted invariants (see the tests).
 
 use std::sync::Arc;
 
+use crate::caps_chaos::caps_faults;
+use crate::journal::RunArtifacts;
 use crate::runner::SharedJob;
 use impulse_fault::{
     BusFaultStats, CapsFaultStats, EccConfig, EccMode, EccStats, FaultConfig, PgTblFaultStats,
@@ -99,8 +105,9 @@ pub struct FaultClass {
     pub scenarios: &'static [FaultScenario],
     /// Adds this class's storm-mix knobs to a schedule.
     storm: fn(&mut FaultConfig),
-    /// Emits this class's totals rollup over a finished grid.
-    totals: fn(&[ChaosOutcome]) -> Json,
+    /// This class's totals rollup: `(key, case path)` pairs summed over
+    /// a finished grid by [`rollup`].
+    totals: &'static [(&'static str, &'static str)],
 }
 
 /// The chaos fault-class registry, in stable document order.
@@ -119,70 +126,43 @@ pub const FAULT_CLASSES: [FaultClass; 4] = [
             };
             f.dram_double_permille = 100;
         },
-        totals: |outcomes| {
-            let sum = |g: fn(&ChaosOutcome) -> u64| outcomes.iter().map(g).sum::<u64>();
-            let mut dram = Json::obj();
-            dram.set("corrected", Json::UInt(sum(|o| o.ecc.corrected)));
-            dram.set(
-                "detected_double",
-                Json::UInt(sum(|o| o.ecc.detected_double)),
-            );
-            dram.set("silent", Json::UInt(sum(|o| o.ecc.silent)));
-            dram.set(
-                "recovery_cycles",
-                Json::UInt(sum(|o| o.ecc.recovery_cycles)),
-            );
-            dram
-        },
+        totals: &[
+            ("corrected", "ecc.corrected"),
+            ("detected_double", "ecc.detected_double"),
+            ("silent", "ecc.silent"),
+            ("recovery_cycles", "ecc.recovery_cycles"),
+        ],
     },
     FaultClass {
         key: "bus",
         scenarios: &[FaultScenario::BusTimeout],
         storm: |f| f.bus_timeout = Trigger::Permille(20),
-        totals: |outcomes| {
-            let sum = |g: fn(&ChaosOutcome) -> u64| outcomes.iter().map(g).sum::<u64>();
-            let mut bus = Json::obj();
-            bus.set("timeouts", Json::UInt(sum(|o| o.bus.timeouts)));
-            bus.set("retries", Json::UInt(sum(|o| o.bus.retries)));
-            bus.set(
-                "recovery_cycles",
-                Json::UInt(sum(|o| o.bus.recovery_cycles)),
-            );
-            bus
-        },
+        totals: &[
+            ("timeouts", "bus.timeouts"),
+            ("retries", "bus.retries"),
+            ("recovery_cycles", "bus.recovery_cycles"),
+        ],
     },
     FaultClass {
         key: "pgtbl",
         scenarios: &[FaultScenario::PgTbl],
         storm: |f| f.pgtbl_corrupt = Trigger::Permille(10),
-        totals: |outcomes| {
-            let sum = |g: fn(&ChaosOutcome) -> u64| outcomes.iter().map(g).sum::<u64>();
-            let mut pgtbl = Json::obj();
-            pgtbl.set("corruptions", Json::UInt(sum(|o| o.pgtbl.corruptions)));
-            pgtbl.set("reloads", Json::UInt(sum(|o| o.pgtbl.reloads)));
-            pgtbl.set(
-                "recovery_cycles",
-                Json::UInt(sum(|o| o.pgtbl.recovery_cycles)),
-            );
-            pgtbl
-        },
+        totals: &[
+            ("corruptions", "pgtbl.corruptions"),
+            ("reloads", "pgtbl.reloads"),
+            ("recovery_cycles", "pgtbl.recovery_cycles"),
+        ],
     },
     FaultClass {
         key: "caps",
         scenarios: &[FaultScenario::Caps],
         storm: |f| f.caps_corrupt = Trigger::EveryN { every: 3, phase: 1 },
-        totals: |outcomes| {
-            let sum = |g: fn(&ChaosOutcome) -> u64| outcomes.iter().map(g).sum::<u64>();
-            let mut caps = Json::obj();
-            caps.set("corruptions", Json::UInt(sum(|o| o.caps.corruptions)));
-            caps.set("reloads", Json::UInt(sum(|o| o.caps.reloads)));
-            caps.set(
-                "recovery_cycles",
-                Json::UInt(sum(|o| o.caps.recovery_cycles)),
-            );
-            caps.set("unrecoverable", Json::UInt(sum(|o| o.caps.unrecoverable)));
-            caps
-        },
+        totals: &[
+            ("corruptions", "caps.corruptions"),
+            ("reloads", "caps.reloads"),
+            ("recovery_cycles", "caps.recovery_cycles"),
+            ("unrecoverable", "caps.unrecoverable"),
+        ],
     },
 ];
 
@@ -512,25 +492,23 @@ pub fn run_misuse_probe(seed: u64) -> ChaosOutcome {
     out
 }
 
-/// A shared chaos job for the supervised runner (retryable, so `Fn`).
-pub type ChaosJob = SharedJob<ChaosOutcome>;
-
 /// The full chaos grid: every workload × every fault scenario, plus the
 /// syscall-misuse probe — in a deterministic submission order, each
-/// paired with its stable journal id (`<workload>/<scenario>`).
-pub fn chaos_jobs(seed: u64) -> Vec<(String, ChaosJob)> {
-    let mut jobs: Vec<(String, ChaosJob)> = Vec::new();
+/// paired with its stable case id (`<workload>/<scenario>`) and
+/// returning the case's JSON.
+pub(crate) fn chaos_jobs(seed: u64) -> Vec<(String, SharedJob<Json>)> {
+    let mut jobs: Vec<(String, SharedJob<Json>)> = Vec::new();
     for w in ChaosWorkload::ALL {
         for s in FaultScenario::ALL {
             jobs.push((
                 format!("{}/{}", w.name(), s.name()),
-                Arc::new(move || run_case(w, s, seed)),
+                Arc::new(move || case_json(&run_case(w, s, seed))),
             ));
         }
     }
     jobs.push((
         "misuse-probe".into(),
-        Arc::new(move || run_misuse_probe(seed)),
+        Arc::new(move || case_json(&run_misuse_probe(seed))),
     ));
     jobs
 }
@@ -538,95 +516,42 @@ pub fn chaos_jobs(seed: u64) -> Vec<(String, ChaosJob)> {
 /// Invariants only visible across the whole grid: recovery costs
 /// cycles, so no fault scenario that actually paid recovery cycles may
 /// beat its fault-free control, and the ECC schedule must actually have
-/// fired on every workload.
-pub fn cross_case_violations(outcomes: &[ChaosOutcome]) -> Vec<String> {
+/// fired on every workload. `None` if a case lacks a field read here
+/// (a case's own fields are read before its control is looked up).
+fn cross_case_violations(cases: &[Json]) -> Option<Vec<String>> {
+    let at = |c: &Json, path: &str| path_sum(std::slice::from_ref(c), path);
+    let control_name = Json::Str(FaultScenario::Control.name().into());
     let mut v = Vec::new();
-    let control = |w: &str| {
-        outcomes
+    for c in cases {
+        let (w, s) = (c.get("workload")?.as_str()?, c.get("scenario")?.as_str()?);
+        let (cycles, corrected) = (at(c, "cycles")?, at(c, "ecc.corrected")?);
+        let recovery = at(
+            c,
+            "ecc.recovery_cycles+bus.recovery_cycles+pgtbl.recovery_cycles",
+        )?;
+        let same_workload = |o: &&Json| o.get("workload") == c.get("workload");
+        let Some(control) = cases
             .iter()
-            .find(|o| o.workload == w && o.scenario == FaultScenario::Control.name())
-    };
-    for o in outcomes {
-        let Some(c) = control(&o.workload) else {
-            v.push(format!("{}: no fault-free control run", o.workload));
+            .filter(same_workload)
+            .find(|o| o.get("scenario") == Some(&control_name))
+        else {
+            v.push(format!("{w}: no fault-free control run"));
             continue;
         };
-        let recovery = o.ecc.recovery_cycles + o.bus.recovery_cycles + o.pgtbl.recovery_cycles;
-        if recovery > 0 && o.cycles < c.cycles {
+        let control = at(control, "cycles")?;
+        if recovery > 0 && cycles < control {
             v.push(format!(
-                "{}/{}: paid {recovery} recovery cycles yet beat its control ({} < {})",
-                o.workload, o.scenario, o.cycles, c.cycles
+                "{w}/{s}: paid {recovery} recovery cycles yet beat its control ({cycles} < {control})"
             ));
         }
-        if o.scenario == FaultScenario::DramEcc.name() && o.ecc.corrected == 0 {
-            v.push(format!(
-                "{}/{}: ECC schedule never fired",
-                o.workload, o.scenario
-            ));
+        if s == FaultScenario::DramEcc.name() && corrected == 0 {
+            v.push(format!("{w}/{s}: ECC schedule never fired"));
         }
     }
-    v
+    Some(v)
 }
 
-impl ChaosOutcome {
-    /// Serializes this case for `chaos.json` and the run journal.
-    pub fn to_json(&self) -> Json {
-        case_json(self)
-    }
-
-    /// Rebuilds a case from [`ChaosOutcome::to_json`] output (the resume
-    /// path); `None` if the shape is wrong.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let u = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_u64);
-        let ecc = v.get("ecc")?;
-        let bus = v.get("bus")?;
-        let pgtbl = v.get("pgtbl")?;
-        let caps = v.get("caps")?;
-        let violations = match v.get("violations")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            workload: v.get("workload")?.as_str()?.to_string(),
-            scenario: v.get("scenario")?.as_str()?.to_string(),
-            cycles: u(v, "cycles")?,
-            instructions: u(v, "instructions")?,
-            ecc: EccStats {
-                corrected: u(ecc, "corrected")?,
-                detected_double: u(ecc, "detected_double")?,
-                silent: u(ecc, "silent")?,
-                corrupt_sig: u(ecc, "corrupt_sig")?,
-                recovery_cycles: u(ecc, "recovery_cycles")?,
-            },
-            bus: BusFaultStats {
-                timeouts: u(bus, "timeouts")?,
-                retries: u(bus, "retries")?,
-                recovery_cycles: u(bus, "recovery_cycles")?,
-            },
-            pgtbl: PgTblFaultStats {
-                corruptions: u(pgtbl, "corruptions")?,
-                reloads: u(pgtbl, "reloads")?,
-                recovery_cycles: u(pgtbl, "recovery_cycles")?,
-            },
-            caps: CapsFaultStats {
-                corruptions: u(caps, "corruptions")?,
-                reloads: u(caps, "reloads")?,
-                recovery_cycles: u(caps, "recovery_cycles")?,
-                unrecoverable: u(caps, "unrecoverable")?,
-            },
-            remap_faults: u(v, "remap_faults")?,
-            rejected_reads: u(v, "rejected_reads")?,
-            rejected_writes: u(v, "rejected_writes")?,
-            syscall_failures: u(v, "syscall_failures")?,
-            violations,
-        })
-    }
-}
-
-/// JSON for one chaos case.
+/// JSON for one chaos case — the only definition of its format.
 fn case_json(o: &ChaosOutcome) -> Json {
     let mut c = Json::obj();
     c.set("workload", Json::Str(o.workload.clone()));
@@ -654,12 +579,7 @@ fn case_json(o: &ChaosOutcome) -> Json {
     pgtbl.set("recovery_cycles", Json::UInt(o.pgtbl.recovery_cycles));
     c.set("pgtbl", pgtbl);
 
-    let mut caps = Json::obj();
-    caps.set("corruptions", Json::UInt(o.caps.corruptions));
-    caps.set("reloads", Json::UInt(o.caps.reloads));
-    caps.set("recovery_cycles", Json::UInt(o.caps.recovery_cycles));
-    caps.set("unrecoverable", Json::UInt(o.caps.unrecoverable));
-    c.set("caps", caps);
+    c.set("caps", caps_faults(&o.caps));
 
     c.set("remap_faults", Json::UInt(o.remap_faults));
     c.set("rejected_reads", Json::UInt(o.rejected_reads));
@@ -667,46 +587,199 @@ fn case_json(o: &ChaosOutcome) -> Json {
     c.set("syscall_failures", Json::UInt(o.syscall_failures));
     c.set(
         "violations",
-        Json::Arr(o.violations.iter().map(|s| Json::Str(s.clone())).collect()),
+        Json::Arr(o.violations.iter().cloned().map(Json::Str).collect()),
     );
     c
 }
 
-/// Serializes a chaos run: schema `impulse-chaos-v1`, per-case counts,
-/// per-fault-class totals with recovery-cycle attribution, and the
-/// flattened violation list (`ok` is true iff it is empty).
-pub fn chaos_document(seed: u64, outcomes: &[ChaosOutcome]) -> Json {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::Str("impulse-chaos-v1".into()));
-    doc.set("seed", Json::UInt(seed));
-    doc.set("cases", Json::Arr(outcomes.iter().map(case_json).collect()));
-
-    let sum = |f: fn(&ChaosOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
+/// `chaos.json` totals: each registered fault class's rollup in registry
+/// order — the document schema and the storm mix share one source of
+/// truth — then the degradation counters.
+fn totals(cases: &[Json]) -> Option<Json> {
     let mut totals = Json::obj();
-    // Per-class totals come from the registry, in registry order — the
-    // document schema and the storm mix share one source of truth.
     for class in &FAULT_CLASSES {
-        totals.set(class.key, (class.totals)(outcomes));
+        totals.set(class.key, rollup(cases, class.totals)?);
     }
-    let mut degrade = Json::obj();
-    degrade.set("remap_faults", Json::UInt(sum(|o| o.remap_faults)));
-    degrade.set("rejected_reads", Json::UInt(sum(|o| o.rejected_reads)));
-    degrade.set("rejected_writes", Json::UInt(sum(|o| o.rejected_writes)));
-    degrade.set("syscall_failures", Json::UInt(sum(|o| o.syscall_failures)));
+    let degrade = rollup(
+        cases,
+        &[
+            ("remap_faults", "remap_faults"),
+            ("rejected_reads", "rejected_reads"),
+            ("rejected_writes", "rejected_writes"),
+            ("syscall_failures", "syscall_failures"),
+        ],
+    )?;
     totals.set("degrade", degrade);
-    doc.set("totals", totals);
+    Some(totals)
+}
 
-    let violations: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| o.violations.iter().cloned())
-        .chain(cross_case_violations(outcomes))
-        .collect();
-    doc.set(
-        "violations",
-        Json::Arr(violations.iter().map(|s| Json::Str(s.clone())).collect()),
-    );
-    doc.set("ok", Json::Bool(violations.is_empty()));
-    doc
+/// One chaos suite, a row of [`SUITES`]: what differs between suites
+/// that share the runner, the journal and the document frame.
+pub struct Suite {
+    /// Suite name, the prefix of its journal ids (`<suite>/<case>`).
+    name: &'static str,
+    /// Schema identifier of the suite's document.
+    schema: &'static str,
+    /// Document file name under the runner's output directory.
+    pub file: &'static str,
+    /// Every case with its case id, in submission order; each job
+    /// returns the case's JSON.
+    jobs: fn(u64) -> Vec<(String, SharedJob<Json>)>,
+    /// The document's `totals`; `None` if a case lacks a field.
+    totals: fn(&[Json]) -> Option<Json>,
+    /// Cross-case invariants, if the suite has any.
+    cross: Option<CrossCheck>,
+}
+
+/// A cross-case invariant check: the violations it finds, or `None` if
+/// a case lacks a field it reads.
+type CrossCheck = fn(&[Json]) -> Option<Vec<String>>;
+
+/// The chaos suites, in run and report order: this fault-schedule grid,
+/// the capability contention suite and the hybrid-tier suite.
+pub const SUITES: [Suite; 3] = [
+    Suite {
+        name: "base",
+        schema: "impulse-chaos-v1",
+        file: "chaos.json",
+        jobs: chaos_jobs,
+        totals,
+        cross: Some(cross_case_violations),
+    },
+    Suite {
+        name: "caps",
+        schema: "impulse-caps-chaos-v1",
+        file: "chaos_caps.json",
+        jobs: crate::caps_chaos::caps_chaos_jobs,
+        totals: crate::caps_chaos::totals,
+        cross: None,
+    },
+    Suite {
+        name: "tier",
+        schema: "impulse-tier-chaos-v1",
+        file: "chaos_tier.json",
+        jobs: crate::tier_chaos::tier_chaos_jobs,
+        totals: crate::tier_chaos::totals,
+        cross: None,
+    },
+];
+
+/// Sums the unsigned field at a dotted `path` (`"ecc.corrected"`) over
+/// `cases`; a `+`-joined path sums several fields. `None` if a case
+/// lacks one.
+pub(crate) fn path_sum(cases: &[Json], path: &str) -> Option<u64> {
+    let mut total = 0u64;
+    for c in cases {
+        for p in path.split('+') {
+            let v = p.split('.').try_fold(c, |v, key| v.get(key))?.as_u64()?;
+            total = total.checked_add(v)?;
+        }
+    }
+    Some(total)
+}
+
+/// An object with the [`path_sum`] over `cases` of each `(key, path)`.
+pub(crate) fn rollup(cases: &[Json], fields: &[(&str, &str)]) -> Option<Json> {
+    let mut o = Json::obj();
+    for (key, path) in fields {
+        o.set(key, Json::UInt(path_sum(cases, path)?));
+    }
+    Some(o)
+}
+
+/// Builds a suite's document from its case JSON: schema, seed, the
+/// cases as given, totals, and the violations (per case, then
+/// cross-case); `ok` is true iff there are none. `None` if a case lacks
+/// a field the frame reads.
+pub(crate) fn suite_document(suite: &Suite, seed: u64, cases: &[Json]) -> Option<Json> {
+    let mut violations = Vec::new();
+    for c in cases {
+        let Json::Arr(items) = c.get("violations")? else {
+            return None;
+        };
+        for v in items {
+            violations.push(Json::Str(v.as_str()?.to_string()));
+        }
+    }
+    if let Some(cross) = suite.cross {
+        violations.extend(cross(cases)?.into_iter().map(Json::Str));
+    }
+    let mut doc = Json::obj();
+    doc.set("schema", Json::Str(suite.schema.into()));
+    doc.set("seed", Json::UInt(seed));
+    doc.set("cases", Json::Arr(cases.to_vec()));
+    doc.set("totals", (suite.totals)(cases)?);
+    let ok = violations.is_empty();
+    doc.set("violations", Json::Arr(violations));
+    doc.set("ok", Json::Bool(ok));
+    Some(doc)
+}
+
+/// Every suite's jobs as one catalog, journal ids `<suite>/<case>`.
+pub fn catalog(seed: u64) -> Vec<(String, SharedJob<Json>)> {
+    let ids = |s: &'static Suite| {
+        (s.jobs)(seed)
+            .into_iter()
+            .map(move |(id, job)| (format!("{}/{id}", s.name), job))
+    };
+    SUITES.iter().flat_map(ids).collect()
+}
+
+/// What the journal keeps of a finished case: its JSON (no CSV row).
+pub fn artifacts(case: &Json) -> RunArtifacts {
+    RunArtifacts {
+        csv: String::new(),
+        json: case.clone(),
+    }
+}
+
+/// One suite's share of a finished run: its document, and the cases
+/// left out of it as `(journal id, error)`.
+pub struct SuiteRun {
+    /// The suite's row in [`SUITES`].
+    pub suite: &'static Suite,
+    /// The suite's document.
+    pub doc: Json,
+    /// Cases that failed to run, or journaled cases that failed to decode.
+    pub failures: Vec<(String, String)>,
+}
+
+/// Splits a [`catalog`] run's outcomes, as
+/// [`run_resumable`](crate::journal::run_resumable) returns them, into
+/// one document per suite. Journaled and fresh cases look the same
+/// here, so a resumed run writes the same bytes. A case that failed to
+/// run is left out, and so is a journaled case the frame cannot read
+/// together with the cases before it (a missing field, or a total that
+/// would overflow).
+pub fn documents(seed: u64, outcomes: &[(String, Result<RunArtifacts, String>)]) -> Vec<SuiteRun> {
+    let split = |suite: &'static Suite| {
+        let mut doc = suite_document(suite, seed, &[]).expect("an empty suite has a document");
+        let (mut cases, mut failures) = (Vec::new(), Vec::new());
+        for (id, res) in outcomes
+            .iter()
+            .filter(|(id, _)| id.split('/').next() == Some(suite.name))
+        {
+            match res {
+                Ok(a) => {
+                    cases.push(a.json.clone());
+                    match suite_document(suite, seed, &cases) {
+                        Some(d) => doc = d,
+                        None => {
+                            cases.pop();
+                            failures.push((id.clone(), "journaled case failed to decode".into()));
+                        }
+                    }
+                }
+                Err(e) => failures.push((id.clone(), e.clone())),
+            }
+        }
+        SuiteRun {
+            suite,
+            doc,
+            failures,
+        }
+    };
+    SUITES.iter().map(split).collect()
 }
 
 #[cfg(test)]
@@ -786,31 +859,43 @@ mod tests {
             }
         }
         // ...and owns a totals section in the emitted document.
-        let doc = chaos_document(1, &[]);
+        let doc = suite_document(&SUITES[0], 1, &[]).expect("empty grid");
         let totals = doc.get("totals").expect("totals section");
         for class in &FAULT_CLASSES {
-            assert!(
-                totals.get(class.key).is_some(),
-                "totals missing `{}`",
-                class.key
-            );
+            let section = totals.get(class.key);
+            assert!(section.is_some(), "totals missing `{}`", class.key);
+            for (key, _) in class.totals {
+                assert_eq!(section.and_then(|t| t.get(key)), Some(&Json::UInt(0)));
+            }
         }
     }
 
     #[test]
-    fn chaos_grid_is_deterministic_across_worker_counts() {
+    fn every_suite_is_deterministic_across_worker_counts() {
         let run = |workers| {
-            let jobs: Vec<_> = chaos_jobs(1999)
+            let (ids, jobs): (Vec<_>, Vec<_>) = catalog(1999).into_iter().unzip();
+            let cases =
+                runner::run_ordered(jobs.into_iter().map(|j| move || j()).collect(), workers);
+            let outcomes: Vec<_> = ids
                 .into_iter()
-                .map(|(_, j)| move || j())
+                .zip(&cases)
+                .map(|(id, c)| (id, Ok(artifacts(c))))
                 .collect();
-            let outcomes = runner::run_ordered(jobs, workers);
-            format!("{:#}\n", chaos_document(1999, &outcomes))
+            documents(1999, &outcomes)
+                .iter()
+                .map(|r| format!("{:#}\n", r.doc))
+                .collect::<Vec<_>>()
         };
         let serial = run(1);
         let parallel = run(4);
-        assert_eq!(serial, parallel, "chaos.json must not depend on workers");
-        assert!(serial.contains("impulse-chaos-v1"));
-        assert!(serial.contains("\"ok\": true"), "grid is violation-free");
+        assert_eq!(serial, parallel, "documents must not depend on workers");
+        for (suite, doc) in SUITES.iter().zip(&serial) {
+            assert!(doc.contains(suite.schema));
+            assert!(
+                doc.contains("\"ok\": true"),
+                "{} is violation-free",
+                suite.name
+            );
+        }
     }
 }

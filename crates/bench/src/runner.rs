@@ -26,6 +26,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -78,6 +79,36 @@ impl fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
+
+/// Checks a binary's raw arguments against its vocabulary, then parses
+/// the shared [`CommonArgs`]. Each argument must be the bare `--resume`
+/// or start with one of the `key=` prefixes in `keys`. An argument
+/// outside the vocabulary (a typo such as `job=4`) or a malformed shared
+/// value is printed with `usage` before the binary runs or writes
+/// anything.
+///
+/// # Errors
+///
+/// Returns exit code 2 for either kind of bad argument.
+pub fn parse_args(
+    args: &[String],
+    keys: &[&str],
+    usage: &str,
+    default_seed: u64,
+) -> Result<CommonArgs, ExitCode> {
+    let unknown = args
+        .iter()
+        .find(|a| *a != "--resume" && !keys.iter().any(|k| a.starts_with(k)));
+    let error = match unknown {
+        Some(bad) => format!("unrecognized argument `{bad}`"),
+        None => match CommonArgs::parse(args, default_seed) {
+            Ok(c) => return Ok(c),
+            Err(e) => e.to_string(),
+        },
+    };
+    eprintln!("error: {error}\n{usage}");
+    Err(ExitCode::from(2))
+}
 
 /// Parses one `jobs=` value: a positive worker count.
 ///

@@ -8,14 +8,16 @@
 //!
 //! Every scenario asserts the graceful-degradation contract end to end:
 //! a tier fault is *corrected, typed, or counted — never silent, never a
-//! hang*. Like the fault-schedule grid in [`crate::chaos`] and the
-//! capability suite in [`crate::caps_chaos`], every case draws only
-//! from the seed and the runner gathers results in submission order, so
+//! hang*. The suite is the `tier` row of [`crate::chaos::SUITES`]. Like
+//! the fault-schedule grid and the capability suite in
+//! [`crate::caps_chaos`], every case draws only from the seed and the
+//! runner gathers results in submission order, so
 //! `results/chaos_tier.json` is byte-identical for a fixed seed at any
 //! worker count.
 
 use std::sync::Arc;
 
+use crate::chaos::rollup;
 use crate::runner::SharedJob;
 use impulse_core::{McError, TierConfig, TierEngine, TierStats};
 use impulse_dram::{Dram, DramConfig, ScmConfig, ScmStats};
@@ -829,86 +831,19 @@ pub fn run_tier_case(s: TierScenario, seed: u64) -> TierOutcome {
     }
 }
 
-/// A shared tier-suite job for the supervised runner.
-pub type TierJob = SharedJob<TierOutcome>;
-
-/// Every scenario paired with its stable journal id, in deterministic
-/// submission order.
-pub fn tier_chaos_jobs(seed: u64) -> Vec<(String, TierJob)> {
+/// Every scenario paired with its stable case id, in deterministic
+/// submission order; each job returns the case's JSON.
+pub(crate) fn tier_chaos_jobs(seed: u64) -> Vec<(String, SharedJob<Json>)> {
     TierScenario::ALL
         .iter()
         .map(|&s| {
-            let id = s.name().to_string();
-            let job: TierJob = Arc::new(move || run_tier_case(s, seed));
-            (id, job)
+            let job: SharedJob<Json> = Arc::new(move || case_json(&run_tier_case(s, seed)));
+            (s.name().to_string(), job)
         })
         .collect()
 }
 
-impl TierOutcome {
-    /// Serializes this case for `chaos_tier.json` and the run journal.
-    pub fn to_json(&self) -> Json {
-        case_json(self)
-    }
-
-    /// Rebuilds a case from [`TierOutcome::to_json`] output (the resume
-    /// path); `None` if the shape is wrong.
-    pub fn from_json(v: &Json) -> Option<Self> {
-        let u = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_u64);
-        let tier = v.get("tier")?;
-        let scm = v.get("scm")?;
-        let fault = v.get("fault")?;
-        let ecc = v.get("ecc")?;
-        let violations = match v.get("violations")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            scenario: v.get("scenario")?.as_str()?.to_string(),
-            cycles: u(v, "cycles")?,
-            accesses: u(v, "accesses")?,
-            typed_faults: u(v, "typed_faults")?,
-            tier: TierStats {
-                dram_hits: u(tier, "dram_hits")?,
-                dram_misses: u(tier, "dram_misses")?,
-                writebacks: u(tier, "writebacks")?,
-                lost_writebacks: u(tier, "lost_writebacks")?,
-                fill_hits: u(tier, "fill_hits")?,
-                fill_loads: u(tier, "fill_loads")?,
-                flat_dram: u(tier, "flat_dram")?,
-                flat_scm: u(tier, "flat_scm")?,
-                degraded_rejects: u(tier, "degraded_rejects")?,
-            },
-            scm: ScmStats {
-                reads: u(scm, "reads")?,
-                writes: u(scm, "writes")?,
-                bytes: u(scm, "bytes")?,
-                channel_wait: u(scm, "channel_wait")?,
-                wear_retirements: u(scm, "wear_retirements")?,
-                dead_rejects: u(scm, "dead_rejects")?,
-            },
-            fault: TierFaultStats {
-                tag_corruptions: u(fault, "tag_corruptions")?,
-                tag_invalidations: u(fault, "tag_invalidations")?,
-                channel_kills: u(fault, "channel_kills")?,
-                bypass_reads: u(fault, "bypass_reads")?,
-                bypass_writes: u(fault, "bypass_writes")?,
-                lost_dirty_lines: u(fault, "lost_dirty_lines")?,
-                recovery_cycles: u(fault, "recovery_cycles")?,
-            },
-            ecc_corrected: u(ecc, "corrected")?,
-            ecc_detected_double: u(ecc, "detected_double")?,
-            ecc_silent: u(ecc, "silent")?,
-            ecc_recovery_cycles: u(ecc, "recovery_cycles")?,
-            violations,
-        })
-    }
-}
-
-/// JSON for one tier case.
+/// JSON for one tier case — the only definition of its format.
 fn case_json(o: &TierOutcome) -> Json {
     let mut c = Json::obj();
     c.set("scenario", Json::Str(o.scenario.clone()));
@@ -951,74 +886,39 @@ fn case_json(o: &TierOutcome) -> Json {
     c.set("ecc", ecc);
     c.set(
         "violations",
-        Json::Arr(o.violations.iter().map(|s| Json::Str(s.clone())).collect()),
+        Json::Arr(o.violations.iter().cloned().map(Json::Str).collect()),
     );
     c
 }
 
-/// Serializes a tier-suite run: schema `impulse-tier-chaos-v1`,
-/// per-case counters, whole-run totals, and the flattened violation
-/// list (`ok` is true iff it is empty).
-pub fn tier_chaos_document(seed: u64, outcomes: &[TierOutcome]) -> Json {
-    let mut doc = Json::obj();
-    doc.set("schema", Json::Str("impulse-tier-chaos-v1".into()));
-    doc.set("seed", Json::UInt(seed));
-    doc.set("cases", Json::Arr(outcomes.iter().map(case_json).collect()));
-
-    let sum = |f: fn(&TierOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
-    let mut totals = Json::obj();
-    totals.set("accesses", Json::UInt(sum(|o| o.accesses)));
-    totals.set("typed_faults", Json::UInt(sum(|o| o.typed_faults)));
-    totals.set("dram_hits", Json::UInt(sum(|o| o.tier.dram_hits)));
-    totals.set("writebacks", Json::UInt(sum(|o| o.tier.writebacks)));
-    totals.set(
-        "lost_writebacks",
-        Json::UInt(sum(|o| o.tier.lost_writebacks)),
-    );
-    totals.set(
-        "degraded_rejects",
-        Json::UInt(sum(|o| o.tier.degraded_rejects)),
-    );
-    totals.set("scm_reads", Json::UInt(sum(|o| o.scm.reads)));
-    totals.set("scm_writes", Json::UInt(sum(|o| o.scm.writes)));
-    totals.set(
-        "wear_retirements",
-        Json::UInt(sum(|o| o.scm.wear_retirements)),
-    );
-    totals.set("dead_rejects", Json::UInt(sum(|o| o.scm.dead_rejects)));
-    totals.set(
-        "tag_corruptions",
-        Json::UInt(sum(|o| o.fault.tag_corruptions)),
-    );
-    totals.set("channel_kills", Json::UInt(sum(|o| o.fault.channel_kills)));
-    totals.set(
-        "bypass_reads",
-        Json::UInt(sum(|o| o.fault.bypass_reads + o.fault.bypass_writes)),
-    );
-    totals.set("ecc_corrected", Json::UInt(sum(|o| o.ecc_corrected)));
-    totals.set(
-        "ecc_detected_double",
-        Json::UInt(sum(|o| o.ecc_detected_double)),
-    );
-    totals.set("ecc_silent", Json::UInt(sum(|o| o.ecc_silent)));
-    doc.set("totals", totals);
-
-    let violations: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| o.violations.iter().cloned())
-        .collect();
-    doc.set(
-        "violations",
-        Json::Arr(violations.iter().map(|s| Json::Str(s.clone())).collect()),
-    );
-    doc.set("ok", Json::Bool(violations.is_empty()));
-    doc
+/// `chaos_tier.json` totals: whole-run counters on every fault plane.
+pub(crate) fn totals(cases: &[Json]) -> Option<Json> {
+    rollup(
+        cases,
+        &[
+            ("accesses", "accesses"),
+            ("typed_faults", "typed_faults"),
+            ("dram_hits", "tier.dram_hits"),
+            ("writebacks", "tier.writebacks"),
+            ("lost_writebacks", "tier.lost_writebacks"),
+            ("degraded_rejects", "tier.degraded_rejects"),
+            ("scm_reads", "scm.reads"),
+            ("scm_writes", "scm.writes"),
+            ("wear_retirements", "scm.wear_retirements"),
+            ("dead_rejects", "scm.dead_rejects"),
+            ("tag_corruptions", "fault.tag_corruptions"),
+            ("channel_kills", "fault.channel_kills"),
+            ("bypass_reads", "fault.bypass_reads+fault.bypass_writes"),
+            ("ecc_corrected", "ecc.corrected"),
+            ("ecc_detected_double", "ecc.detected_double"),
+            ("ecc_silent", "ecc.silent"),
+        ],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
 
     #[test]
     fn cold_gather_storm_lives_in_the_fill_buffer() {
@@ -1076,32 +976,5 @@ mod tests {
         assert!(o.violations.is_empty(), "{:?}", o.violations);
         assert!(o.fault.bypass_reads >= 128, "parity run plus preamble");
         assert_eq!(o.tier.dram_hits, 0);
-    }
-
-    #[test]
-    fn outcomes_round_trip_through_json() {
-        let o = run_wear_out_scatter_churn(3);
-        let back = TierOutcome::from_json(&o.to_json()).expect("decode");
-        assert_eq!(o, back);
-    }
-
-    #[test]
-    fn tier_suite_is_deterministic_across_worker_counts() {
-        let run = |workers| {
-            let jobs: Vec<_> = tier_chaos_jobs(1999)
-                .into_iter()
-                .map(|(_, j)| move || j())
-                .collect();
-            let outcomes = runner::run_ordered(jobs, workers);
-            format!("{:#}\n", tier_chaos_document(1999, &outcomes))
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(
-            serial, parallel,
-            "chaos_tier.json must not depend on workers"
-        );
-        assert!(serial.contains("impulse-tier-chaos-v1"));
-        assert!(serial.contains("\"ok\": true"), "suite is violation-free");
     }
 }
