@@ -15,11 +15,14 @@
 //!
 //! Overrides: `words=` (batch size), `batches=`, `streams=`, `seed=`,
 //! `jobs=` (worker threads; default all hardware threads, `jobs=1` for
-//! the serial path). Each (workload, policy) cell simulates its own DRAM,
+//! the serial path); any other argument is rejected with exit code 2.
+//! Each (workload, policy) cell simulates its own DRAM,
 //! so the grid fans across a job pool; results print in grid order, so
 //! the output is identical at any `jobs=` value.
 
-use impulse_bench::{runner, Args};
+use std::process::ExitCode;
+
+use impulse_bench::runner;
 use impulse_dram::{Dram, DramConfig, SchedulePolicy, Scheduler};
 use impulse_types::{AccessKind, MAddr};
 
@@ -81,18 +84,27 @@ fn run(policy: SchedulePolicy, batches: &[Vec<MAddr>]) -> (u64, f64) {
     (now, dram.stats().row_hit_ratio())
 }
 
-fn main() -> std::process::ExitCode {
-    let args = Args::parse();
-    let words = args.get("words", 64);
-    let n_batches = args.get("batches", if args.paper { 20_000 } else { 4_000 });
-    let streams = args.get("streams", 4);
-    let seed = args.get("seed", 42);
-    let jobs = match args.jobs() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}\nusage: ablation_dram [--paper] [words=N] [batches=N] [streams=N] [seed=N] [jobs=N]");
-            return std::process::ExitCode::from(2);
-        }
+const USAGE: &str =
+    "usage: ablation_dram [--paper] [words=N] [batches=N] [streams=N] [seed=N] [jobs=N]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let keys = [
+        "--paper", "words=", "batches=", "streams=", "seed=", "jobs=",
+    ];
+    let (seed, jobs) = match runner::parse_args(&args, &keys, USAGE, 42) {
+        Ok(c) => (c.seed, c.jobs),
+        Err(code) => return code,
+    };
+    let paper = args.iter().any(|a| a == "--paper");
+    let wanted = [
+        ("words", 64),
+        ("batches", if paper { 20_000 } else { 4_000 }),
+        ("streams", 4),
+    ];
+    let [words, n_batches, streams] = match runner::u64s_from_args(&args, wanted, USAGE) {
+        Ok(v) => v,
+        Err(code) => return code,
     };
 
     let dram_cfg = DramConfig::default();
@@ -150,5 +162,5 @@ fn main() -> std::process::ExitCode {
         }
     }
     println!();
-    std::process::ExitCode::SUCCESS
+    ExitCode::SUCCESS
 }

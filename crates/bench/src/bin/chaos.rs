@@ -26,8 +26,8 @@ use impulse_obs::Json;
 const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out_dir=results] \
 [journal=results/chaos-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
 
-/// Every `key=` prefix `chaos` accepts besides the bare `--resume`.
-const KEYS: [&str; 8] = [
+/// Every `key=` prefix and bare flag `chaos` accepts.
+const KEYS: [&str; 9] = [
     "seed=",
     "jobs=",
     "out_dir=",
@@ -36,6 +36,7 @@ const KEYS: [&str; 8] = [
     "max_retries=",
     "timeout_ms=",
     "attempts=",
+    "--resume",
 ];
 
 fn main() -> ExitCode {

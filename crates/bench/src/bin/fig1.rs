@@ -4,9 +4,12 @@
 //! remaps the diagonal into dense cache lines.
 //!
 //! Prints cycles, bus traffic, useful-byte fraction, and hit ratios for
-//! both systems. Overrides: `n=`, `passes=`.
+//! both systems. Overrides: `n=`, `passes=`. Any other argument is
+//! rejected with exit code 2.
 
-use impulse_bench::Args;
+use std::process::ExitCode;
+
+use impulse_bench::runner;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Diagonal, DiagonalVariant};
 
@@ -23,10 +26,22 @@ fn run(n: u64, passes: u64, variant: DiagonalVariant) -> Report {
     r
 }
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get("n", if args.paper { 4096 } else { 2048 });
-    let passes = args.get("passes", 4);
+const USAGE: &str = "usage: fig1 [--paper] [n=N] [passes=N]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(code) = runner::parse_args(&args, &["--paper", "n=", "passes="], USAGE, 0) {
+        return code;
+    }
+    let paper = args.iter().any(|a| a == "--paper");
+    let [n, passes] = match runner::u64s_from_args(
+        &args,
+        [("n", if paper { 4096 } else { 2048 }), ("passes", 4)],
+        USAGE,
+    ) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
 
     let conv = run(n, passes, DiagonalVariant::Conventional);
     let imp = run(n, passes, DiagonalVariant::Remapped);
@@ -76,4 +91,5 @@ fn main() {
          cache line per diagonal element — only one word of which is useful —\n\
          while Impulse packs diagonal elements densely before they cross the bus)"
     );
+    ExitCode::SUCCESS
 }

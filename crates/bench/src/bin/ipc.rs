@@ -2,9 +2,12 @@
 //! user buffers and a protocol header by software copy vs. Impulse
 //! controller gather.
 //!
-//! Overrides: `buffers=`, `bytes=` (per buffer), `messages=`.
+//! Overrides: `buffers=`, `bytes=` (per buffer), `messages=`. Any other
+//! argument is rejected with exit code 2.
 
-use impulse_bench::Args;
+use std::process::ExitCode;
+
+use impulse_bench::runner;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{IpcGather, IpcVariant};
 
@@ -18,11 +21,24 @@ fn run(buffers: u64, bytes: u64, messages: u64, variant: IpcVariant) -> Report {
     m.report(variant.name())
 }
 
-fn main() {
-    let args = Args::parse();
-    let buffers = args.get("buffers", 8);
-    let bytes = args.get("bytes", 4096);
-    let messages = args.get("messages", if args.paper { 256 } else { 64 });
+const USAGE: &str = "usage: ipc [--paper] [buffers=N] [bytes=N] [messages=N]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let keys = ["--paper", "buffers=", "bytes=", "messages="];
+    if let Err(code) = runner::parse_args(&args, &keys, USAGE, 0) {
+        return code;
+    }
+    let paper = args.iter().any(|a| a == "--paper");
+    let wanted = [
+        ("buffers", 8),
+        ("bytes", 4096),
+        ("messages", if paper { 256 } else { 64 }),
+    ];
+    let [buffers, bytes, messages] = match runner::u64s_from_args(&args, wanted, USAGE) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
 
     let sw = run(buffers, bytes, messages, IpcVariant::SoftwareGather);
     let imp = run(buffers, bytes, messages, IpcVariant::ImpulseGather);
@@ -53,4 +69,5 @@ fn main() {
         imp.cycles / messages,
         sw.cycles as f64 / imp.cycles as f64
     );
+    ExitCode::SUCCESS
 }

@@ -14,13 +14,14 @@
 //!   buffers help only the regular `DATA`/`COLUMN` streams; Impulse's
 //!   scatter/gather attacks the irregular part itself.
 //!
-//! Overrides: `n=` (diagonal), `rows=`, `nnz=` (CG).
+//! Overrides: `n=` (diagonal), `rows=`, `nnz=` (CG). Any other argument
+//! is rejected with exit code 2.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use impulse_bench::Args;
+use impulse_bench::runner;
 use impulse_sim::{Machine, Report, SystemConfig};
-use impulse_types::geom::PAGE_SIZE;
 use impulse_workloads::{Diagonal, DiagonalVariant, Smvp, SmvpVariant, SparsePattern};
 
 /// Diagonal walk with per-page programmed streams (the stream follows
@@ -74,12 +75,23 @@ fn smvp(
     m.report(label)
 }
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get("n", 2048);
-    let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
-    let _ = PAGE_SIZE;
+const USAGE: &str = "usage: streambuf [--paper] [n=N] [rows=N] [nnz=N]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(code) = runner::parse_args(&args, &["--paper", "n=", "rows=", "nnz="], USAGE, 0) {
+        return code;
+    }
+    let paper = args.iter().any(|a| a == "--paper");
+    let wanted = [
+        ("n", 2048),
+        ("rows", 14_000),
+        ("nnz", if paper { 156 } else { 24 }),
+    ];
+    let [n, rows, nnz] = match runner::u64s_from_args(&args, wanted, USAGE) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
 
     println!("\n================================================================");
     println!("Stream buffers vs Impulse (paper §5)");
@@ -152,4 +164,5 @@ fn main() {
          irregular x accesses — the bottleneck — are untouched, while Impulse\n\
          gathers them at the controller)"
     );
+    ExitCode::SUCCESS
 }

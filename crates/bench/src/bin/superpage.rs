@@ -3,9 +3,12 @@
 //! pages into contiguous shadow superpages, cutting TLB misses. The
 //! original paper reported 5–20% improvements on SPECint95 workloads.
 //!
-//! Overrides: `regions=`, `pages=`, `rounds=`.
+//! Overrides: `regions=`, `pages=`, `rounds=`. Any other argument is
+//! rejected with exit code 2.
 
-use impulse_bench::Args;
+use std::process::ExitCode;
+
+use impulse_bench::runner;
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{TlbStress, TlbVariant};
 
@@ -29,11 +32,24 @@ fn run_auto(regions: u64, pages: u64, rounds: u64, threshold: u64) -> Report {
     m.report("online promotion")
 }
 
-fn main() {
-    let args = Args::parse();
-    let regions = args.get("regions", 8);
-    let pages = args.get("pages", if args.paper { 256 } else { 64 });
-    let rounds = args.get("rounds", 64);
+const USAGE: &str = "usage: superpage [--paper] [regions=N] [pages=N] [rounds=N]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let keys = ["--paper", "regions=", "pages=", "rounds="];
+    if let Err(code) = runner::parse_args(&args, &keys, USAGE, 0) {
+        return code;
+    }
+    let paper = args.iter().any(|a| a == "--paper");
+    let wanted = [
+        ("regions", 8),
+        ("pages", if paper { 256 } else { 64 }),
+        ("rounds", 64),
+    ];
+    let [regions, pages, rounds] = match runner::u64s_from_args(&args, wanted, USAGE) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
 
     let base = run(regions, pages, rounds, TlbVariant::BasePages);
     let sp = run(regions, pages, rounds, TlbVariant::Superpages);
@@ -75,4 +91,5 @@ fn main() {
         base.cycles as f64 / sp.cycles as f64,
         base.cycles as f64 / auto.cycles as f64
     );
+    ExitCode::SUCCESS
 }

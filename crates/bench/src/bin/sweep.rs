@@ -10,8 +10,10 @@
 //! and the hybrid memory tier (none / flat / DRAM-cache-over-SCM).
 //! Overrides: `rows=`, `nnz=`, `seed=`, `jobs=` (worker threads;
 //! default all hardware threads, `jobs=1` for the serial path), plus the
-//! crash-recovery knobs `journal=`, `timeout_ms=`, `attempts=`, and
-//! `--resume`.
+//! crash-recovery knobs `journal=`, `watchdog_ms=`, `max_retries=` (the
+//! older `timeout_ms=`/`attempts=` spellings still work, as in
+//! `run_all`), and `--resume`. Any other argument, or a malformed value,
+//! is rejected with exit code 2 before anything runs or is written.
 //!
 //! Every grid point builds its own `Machine`, so the whole grid fans
 //! across a job pool; rows are gathered and printed in grid order, making
@@ -24,11 +26,9 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use impulse_bench::journal::{self, RunArtifacts};
-use impulse_bench::runner::{SharedJob, SuperviseOpts};
-use impulse_bench::Args;
+use impulse_bench::runner::{self, SharedJob};
 use impulse_dram::SchedulePolicy;
 use impulse_obs::Json;
 use impulse_sim::{Machine, Report, SystemConfig};
@@ -36,7 +36,23 @@ use impulse_types::TierPolicy;
 use impulse_workloads::{Mmp, MmpParams, MmpVariant, Smvp, SmvpVariant, SparsePattern};
 
 const USAGE: &str = "usage: sweep [--paper] [rows=N] [nnz=N] [seed=N] [jobs=N] \
-[journal=results/sweep-journal.jsonl] [timeout_ms=N] [attempts=K] [--resume]";
+[journal=results/sweep-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
+
+/// Every `key=` prefix and bare flag `sweep` accepts, including the
+/// legacy `timeout_ms=` and `attempts=` spellings.
+const KEYS: [&str; 11] = [
+    "--paper",
+    "--resume",
+    "rows=",
+    "nnz=",
+    "seed=",
+    "jobs=",
+    "journal=",
+    "watchdog_ms=",
+    "max_retries=",
+    "timeout_ms=",
+    "attempts=",
+];
 
 fn run(cfg: &SystemConfig, pattern: &Arc<SparsePattern>) -> Report {
     let mut m = Machine::new(cfg);
@@ -66,27 +82,27 @@ fn render_row(label: &str, r: &Report) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 24 });
-    let seed = args.get("seed", 0x5eed);
-    let jobs = match args.jobs() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let common = match runner::parse_args(&args, &KEYS, USAGE, 0x5eed) {
+        Ok(c) => c,
+        Err(code) => return code,
     };
-    let timeout_ms = args.get("timeout_ms", 0);
-    let attempts = args.get("attempts", 2);
+    let (seed, jobs, opts) = (common.seed, common.jobs, common.supervise);
+    let paper = args.iter().any(|a| a == "--paper");
+    let resume = args.iter().any(|a| a == "--resume");
+    let [rows, nnz] = match runner::u64s_from_args(
+        &args,
+        [("rows", 14_000), ("nnz", if paper { 156 } else { 24 })],
+        USAGE,
+    ) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
     let journal_path = args
-        .journal
-        .clone()
-        .unwrap_or_else(|| "results/sweep-journal.jsonl".to_string());
-    let opts = SuperviseOpts {
-        timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-        max_attempts: attempts.clamp(1, u64::from(u32::MAX)) as u32,
-    };
+        .iter()
+        .find_map(|a| a.strip_prefix("journal="))
+        .unwrap_or("results/sweep-journal.jsonl")
+        .to_string();
     let pattern = Arc::new(SparsePattern::generate(rows, nnz, seed));
 
     println!("================================================================");
@@ -227,7 +243,7 @@ fn main() -> ExitCode {
         jobs,
         &opts,
         Path::new(&journal_path),
-        args.resume,
+        resume,
         &|a: &RunArtifacts| a.clone(),
     ) {
         Ok(r) => r,

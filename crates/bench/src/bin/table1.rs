@@ -5,11 +5,14 @@
 //! Default: a scaled CG-A-like matrix (n = 14,000, ~40 nnz/row, one
 //! pass) — the same cache-pressure regime at a fraction of the runtime.
 //! `--paper` runs the Class A dimensions (n = 14,000, ~156 nnz/row) with
-//! more passes. Overrides: `rows=`, `nnz=`, `passes=`, `seed=`.
+//! more passes. Overrides: `rows=`, `nnz=`, `passes=`, `seed=`, `cg=`,
+//! `mesh=`. Any other argument is rejected with exit code 2.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use impulse_bench::{print_table, Args, PaperRow, TableSection, PREFETCH_COLUMNS};
+use impulse_bench::runner;
+use impulse_bench::{print_table, PaperRow, TableSection, PREFETCH_COLUMNS};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{CgBenchmark, Smvp, SmvpVariant, SparsePattern};
 
@@ -138,20 +141,36 @@ const PAPER_RECOLORING: [PaperRow; 4] = [
     },
 ];
 
-fn main() {
-    let args = Args::parse();
-    let rows = args.get("rows", 14_000);
-    let nnz = args.get("nnz", if args.paper { 156 } else { 40 });
-    let passes = args.get("passes", if args.paper { 3 } else { 1 });
-    let seed = args.get("seed", 0x00c9_a15e);
+const USAGE: &str =
+    "usage: table1 [--paper] [rows=N] [nnz=N] [passes=N] [seed=N] [cg=0|1] [mesh=SIDE]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let keys = [
+        "--paper", "rows=", "nnz=", "passes=", "seed=", "cg=", "mesh=",
+    ];
+    let seed = match runner::parse_args(&args, &keys, USAGE, 0x00c9_a15e) {
+        Ok(c) => c.seed,
+        Err(code) => return code,
+    };
+    let paper = args.iter().any(|a| a == "--paper");
     // cg=1 runs the complete CG iteration (SMVP + dot products + AXPYs +
     // the gather-consistency flush of p), as the paper's whole-benchmark
-    // timing does; the default times the SMVP kernel.
-    let full_cg = args.get("cg", 0) != 0;
-
-    // mesh=SIDE swaps in a Spark98-like 2-D finite-element mesh pattern
-    // (SIDE × SIDE nodes) instead of the CG-A-like random matrix.
-    let mesh = args.get("mesh", 0);
+    // timing does; the default times the SMVP kernel. mesh=SIDE swaps in
+    // a Spark98-like 2-D finite-element mesh pattern (SIDE × SIDE nodes)
+    // instead of the CG-A-like random matrix.
+    let wanted = [
+        ("rows", 14_000),
+        ("nnz", if paper { 156 } else { 40 }),
+        ("passes", if paper { 3 } else { 1 }),
+        ("cg", 0),
+        ("mesh", 0),
+    ];
+    let [rows, nnz, passes, cg, mesh] = match runner::u64s_from_args(&args, wanted, USAGE) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
+    let full_cg = cg != 0;
 
     let pattern = if mesh > 0 {
         eprintln!(
@@ -224,4 +243,5 @@ fn main() {
         "headline: scatter/gather + controller prefetch speedup = {:.2} (paper: 1.67)",
         sg_pf.speedup_over(&baseline)
     );
+    ExitCode::SUCCESS
 }

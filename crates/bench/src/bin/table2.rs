@@ -3,9 +3,13 @@
 //!
 //! Default: 256 × 256 matrices with 32 × 32 tiles (the same
 //! tile-self-conflict regime as the paper at a fraction of the runtime).
-//! `--paper` runs the paper's 512 × 512. Overrides: `n=`, `tile=`.
+//! `--paper` runs the paper's 512 × 512. Overrides: `n=`, `tile=`. Any
+//! other argument is rejected with exit code 2.
 
-use impulse_bench::{print_table, Args, PaperRow, TableSection, PREFETCH_COLUMNS};
+use std::process::ExitCode;
+
+use impulse_bench::runner;
+use impulse_bench::{print_table, PaperRow, TableSection, PREFETCH_COLUMNS};
 use impulse_sim::{Machine, Report, SystemConfig};
 use impulse_workloads::{Mmp, MmpParams, MmpVariant};
 
@@ -122,10 +126,22 @@ const PAPER_REMAP: [PaperRow; 4] = [
     },
 ];
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get("n", if args.paper { 512 } else { 256 });
-    let tile = args.get("tile", 32);
+const USAGE: &str = "usage: table2 [--paper] [n=N] [tile=N]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(code) = runner::parse_args(&args, &["--paper", "n=", "tile="], USAGE, 0) {
+        return code;
+    }
+    let paper = args.iter().any(|a| a == "--paper");
+    let [n, tile] = match runner::u64s_from_args(
+        &args,
+        [("n", if paper { 512 } else { 256 }), ("tile", 32)],
+        USAGE,
+    ) {
+        Ok(v) => v,
+        Err(code) => return code,
+    };
     let params = MmpParams { n, tile };
 
     let variants = [
@@ -175,4 +191,5 @@ fn main() {
         remap.speedup_over(&baseline),
         remap.cycles <= copy.cycles
     );
+    ExitCode::SUCCESS
 }

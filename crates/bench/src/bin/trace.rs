@@ -1,6 +1,6 @@
 //! Flight-recorder capture tooling over the `run_all` catalog.
 //!
-//! `trace record` reruns the full 24-experiment catalog with the MC
+//! `trace record` reruns the full 28-experiment catalog with the MC
 //! flight recorder and hotness sketch enabled, writes one
 //! `impulse-trace-v1` capture per experiment plus a summary document and
 //! combined heatmap export, and round-trip-verifies every capture

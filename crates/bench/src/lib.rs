@@ -20,7 +20,6 @@
 pub mod caps_chaos;
 pub mod chaos;
 pub mod experiments;
-pub mod harness;
 pub mod journal;
 pub mod runner;
 #[cfg(unix)]
@@ -227,77 +226,6 @@ pub fn print_table(title: &str, sections: &[TableSection], baseline: &Report) {
     println!();
 }
 
-/// Minimal command-line handling shared by the regenerator binaries:
-/// recognizes `--paper`, `--resume`, `journal=<path>`, and integer
-/// `key=value` overrides.
-#[derive(Clone, Debug, Default)]
-pub struct Args {
-    /// Run the paper's full problem size.
-    pub paper: bool,
-    /// Resume from the run journal instead of starting fresh.
-    pub resume: bool,
-    /// `journal=<path>` override for the run journal location.
-    pub journal: Option<String>,
-    /// `key=value` overrides.
-    pub overrides: Vec<(String, u64)>,
-    /// Raw `jobs=` value; validated (typed) by [`Args::jobs`].
-    jobs_raw: Option<String>,
-}
-
-impl Args {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse() -> Self {
-        let mut out = Args::default();
-        for a in std::env::args().skip(1) {
-            if a == "--paper" {
-                out.paper = true;
-            } else if a == "--resume" {
-                out.resume = true;
-            } else if let Some(v) = a.strip_prefix("journal=") {
-                out.journal = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("jobs=") {
-                out.jobs_raw = Some(v.to_string());
-            } else if let Some((k, v)) = a.split_once('=') {
-                let v = v
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("expected integer in `{a}`"));
-                out.overrides
-                    .push((k.trim_start_matches('-').to_string(), v));
-            } else {
-                panic!("unrecognized argument `{a}` (use --paper, --resume, or key=value)");
-            }
-        }
-        out
-    }
-
-    /// Fetches an override or the default.
-    pub fn get(&self, key: &str, default: u64) -> u64 {
-        self.overrides
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(default)
-    }
-
-    /// The validated worker count.
-    ///
-    /// # Errors
-    ///
-    /// `jobs=0` and non-numeric values come back as a typed
-    /// [`runner::ArgError`] — never a silent fallback to the default.
-    pub fn jobs(&self) -> Result<usize, runner::ArgError> {
-        match &self.jobs_raw {
-            None => Ok(runner::default_jobs()),
-            Some(v) => runner::parse_jobs(v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,16 +235,6 @@ mod tests {
         let set: std::collections::HashSet<(bool, bool)> =
             PREFETCH_COLUMNS.iter().map(|&(a, b, _)| (a, b)).collect();
         assert_eq!(set.len(), 4);
-    }
-
-    #[test]
-    fn args_defaults_and_overrides() {
-        let a = Args {
-            overrides: vec![("rows".into(), 100), ("rows".into(), 200)],
-            ..Args::default()
-        };
-        assert_eq!(a.get("rows", 5), 200, "last override wins");
-        assert_eq!(a.get("cols", 7), 7);
     }
 
     #[test]
@@ -357,28 +275,5 @@ mod tests {
         assert_eq!(back.get("git").and_then(Json::as_str), Some("v1.2-3-gabc"));
         assert_eq!(back.get("experiments_run").and_then(Json::as_u64), Some(24));
         std::fs::remove_file(&p).expect("cleanup");
-    }
-
-    #[test]
-    fn args_jobs_is_typed() {
-        assert_eq!(
-            Args::default().jobs().expect("default is valid"),
-            runner::default_jobs()
-        );
-        let zero = Args {
-            jobs_raw: Some("0".into()),
-            ..Args::default()
-        };
-        assert!(zero.jobs().is_err(), "jobs=0 must not silently become 1");
-        let garbage = Args {
-            jobs_raw: Some("four".into()),
-            ..Args::default()
-        };
-        assert!(garbage.jobs().is_err());
-        let four = Args {
-            jobs_raw: Some("4".into()),
-            ..Args::default()
-        };
-        assert_eq!(four.jobs().expect("valid"), 4);
     }
 }

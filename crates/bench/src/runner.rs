@@ -81,11 +81,11 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Checks a binary's raw arguments against its vocabulary, then parses
-/// the shared [`CommonArgs`]. Each argument must be the bare `--resume`
-/// or start with one of the `key=` prefixes in `keys`. An argument
-/// outside the vocabulary (a typo such as `job=4`) or a malformed shared
-/// value is printed with `usage` before the binary runs or writes
-/// anything.
+/// the shared [`CommonArgs`]. Each entry of `keys` is either a `key=`
+/// prefix or a bare flag such as `--resume` or `--paper`, which must
+/// match exactly. An argument outside the vocabulary (a typo such as
+/// `job=4`) or a malformed shared value is printed with `usage` before
+/// the binary runs or writes anything.
 ///
 /// # Errors
 ///
@@ -96,18 +96,46 @@ pub fn parse_args(
     usage: &str,
     default_seed: u64,
 ) -> Result<CommonArgs, ExitCode> {
-    let unknown = args
-        .iter()
-        .find(|a| *a != "--resume" && !keys.iter().any(|k| a.starts_with(k)));
-    let error = match unknown {
-        Some(bad) => format!("unrecognized argument `{bad}`"),
-        None => match CommonArgs::parse(args, default_seed) {
-            Ok(c) => return Ok(c),
-            Err(e) => e.to_string(),
-        },
+    let known = |a: &String| {
+        keys.iter().any(|k| {
+            if k.ends_with('=') {
+                a.starts_with(k)
+            } else {
+                a == k
+            }
+        })
     };
+    match args.iter().find(|a| !known(a)) {
+        Some(bad) => Err(usage_error(format!("unrecognized argument `{bad}`"), usage)),
+        None => CommonArgs::parse(args, default_seed).map_err(|e| usage_error(e, usage)),
+    }
+}
+
+/// Reads a binary's own unsigned `key=N` arguments with
+/// [`u64_from_args`], one per `(key, default)` pair of `wanted`, in
+/// order. A malformed value is printed with `usage`, as in
+/// [`parse_args`].
+///
+/// # Errors
+///
+/// Returns exit code 2 for the first malformed value.
+pub fn u64s_from_args<const N: usize>(
+    args: &[String],
+    wanted: [(&'static str, u64); N],
+    usage: &str,
+) -> Result<[u64; N], ExitCode> {
+    let mut values = [0; N];
+    for (value, (key, default)) in values.iter_mut().zip(wanted) {
+        *value = u64_from_args(args, key, default).map_err(|e| usage_error(e, usage))?;
+    }
+    Ok(values)
+}
+
+/// Prints a bad-argument `error` followed by the binary's `usage` text
+/// and returns exit code 2.
+fn usage_error(error: impl fmt::Display, usage: &str) -> ExitCode {
     eprintln!("error: {error}\n{usage}");
-    Err(ExitCode::from(2))
+    ExitCode::from(2)
 }
 
 /// Parses one `jobs=` value: a positive worker count.

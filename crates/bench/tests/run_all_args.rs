@@ -1,40 +1,80 @@
-//! `run_all` and `chaos` reject any argument outside their vocabulary —
-//! a typo such as `job=4`, or a removed option such as `run_all`'s
-//! `mode=` or `chaos`'s `out=` — with exit code 2 and the usage text,
-//! before anything runs or any file is written.
+//! The command-line binaries reject any argument outside their
+//! vocabulary — a typo such as `job=4`, or a removed option such as
+//! `run_all`'s `mode=`/`profile=` or `chaos`'s `out=` — and any
+//! malformed value, such as `sweep`'s `attempts=0`, with exit code 2 and
+//! the usage text, before anything runs or any file is written.
 
 use std::process::Command;
+
+/// One binary under test: its name, its executable, a valid argument
+/// passed alongside each bad one, and the bad arguments, each with a
+/// fragment of the error it must report.
+type Case<'a> = (&'a str, &'a str, &'a str, &'a [(&'a str, &'a str)]);
 
 #[test]
 fn unknown_arguments_exit_2_before_writing_anything() {
     let dir = std::env::temp_dir().join(format!("impulse-run-all-args-{}", std::process::id()));
-    let cases: [(&str, &str, &[&str]); 2] = [
+    let cases: [Case; 4] = [
         (
             "run_all",
             env!("CARGO_BIN_EXE_run_all"),
-            &["job=4", "mode=replay", "mode=execute", "--paper", "jobs"],
+            "jobs=1",
+            &[
+                ("job=4", "unrecognized argument `job=4`"),
+                ("mode=replay", "unrecognized argument `mode=replay`"),
+                ("mode=execute", "unrecognized argument `mode=execute`"),
+                ("profile=1", "unrecognized argument `profile=1`"),
+                ("--paper", "unrecognized argument `--paper`"),
+                ("jobs", "unrecognized argument `jobs`"),
+            ],
         ),
         (
             "chaos",
             env!("CARGO_BIN_EXE_chaos"),
-            &["job=4", "tier=cache", "out=results/chaos.json", "--paper"],
+            "jobs=1",
+            &[
+                ("job=4", "unrecognized argument `job=4`"),
+                ("tier=cache", "unrecognized argument `tier=cache`"),
+                (
+                    "out=results/chaos.json",
+                    "unrecognized argument `out=results/chaos.json`",
+                ),
+                ("--paper", "unrecognized argument `--paper`"),
+            ],
+        ),
+        (
+            "sweep",
+            env!("CARGO_BIN_EXE_sweep"),
+            "jobs=1",
+            &[
+                ("job=4", "unrecognized argument `job=4`"),
+                ("tier=cache", "unrecognized argument `tier=cache`"),
+                ("attempts=0", "max_retries= wants a positive integer"),
+                ("max_retries=0", "max_retries= wants a positive integer"),
+            ],
+        ),
+        (
+            "table1",
+            env!("CARGO_BIN_EXE_table1"),
+            "passes=1",
+            &[
+                ("job=4", "unrecognized argument `job=4`"),
+                ("rows=x", "rows= wants an unsigned integer, got `x`"),
+            ],
         ),
     ];
-    for (name, exe, bads) in cases {
-        for (i, bad) in bads.iter().enumerate() {
+    for (name, exe, ok, bads) in cases {
+        for (i, (bad, error)) in bads.iter().enumerate() {
             let cwd = dir.join(format!("{name}-{i}"));
             std::fs::create_dir_all(&cwd).expect("create scratch directory");
             let out = Command::new(exe)
-                .args(["jobs=1", bad])
+                .args([ok, bad])
                 .current_dir(&cwd)
                 .output()
                 .expect("spawn binary");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{name} `{bad}`: {stderr}");
-            assert!(
-                stderr.contains(&format!("unrecognized argument `{bad}`")),
-                "{stderr}"
-            );
+            assert!(stderr.contains(error), "{name} `{bad}`: {stderr}");
             assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");
             assert!(out.stdout.is_empty(), "{name} `{bad}` printed output");
             let left: Vec<_> = std::fs::read_dir(&cwd)

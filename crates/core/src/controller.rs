@@ -17,7 +17,7 @@ use core::fmt;
 
 use impulse_dram::{Dram, SchedulePolicy, Scheduler};
 use impulse_fault::{EccConfig, EccStats, FaultConfig};
-use impulse_obs::{prof, Histogram, HotSketch, Json, MetricsRegistry, Observe, SketchConfig};
+use impulse_obs::{Histogram, HotSketch, Json, MetricsRegistry, Observe, SketchConfig};
 use impulse_types::geom::PAGE_SIZE;
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle, MAddr, PAddr, PRange};
@@ -808,7 +808,6 @@ impl MemController {
     /// One-block-lookahead prefetch into the 2 KB SRAM. Speculative:
     /// silently abandoned when the tier rejects the access.
     fn obl_prefetch(&mut self, line: PAddr, start: Cycle) {
-        let _span = prof::span("mc.prefetch");
         if line.raw() + self.cfg.line_bytes > self.shadow_base {
             return; // next line is not backed by visible memory
         }
@@ -897,7 +896,6 @@ impl MemController {
     /// pseudo-virtual pages are not all mapped (e.g. the color-excluded
     /// holes of a recolored region).
     fn shadow_prefetch(&mut self, idx: usize, line: PAddr, start: Cycle) {
-        let _span = prof::span("mc.prefetch");
         let Some(desc) = self.descs.get(idx).and_then(Option::as_ref) else {
             return;
         };
@@ -955,7 +953,6 @@ impl MemController {
         kind: AccessKind,
         t0: Cycle,
     ) -> Result<(Cycle, McBreakdown), McError> {
-        let _span = prof::span("mc.gather");
         let Self {
             descs,
             pgtbl,

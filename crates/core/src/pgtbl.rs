@@ -256,7 +256,6 @@ impl PgTbl {
         dram: &mut Dram,
         now: Cycle,
     ) -> Result<(MAddr, Cycle), McError> {
-        let _span = impulse_obs::prof::span("mc.translate");
         self.stats.lookups += 1;
         let pv_page = pv.raw() >> PAGE_SHIFT;
         // The injector is consulted once per translation, hit or not.

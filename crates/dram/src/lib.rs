@@ -36,7 +36,7 @@ pub use sched::{BatchOutcome, SchedulePolicy, Scheduler};
 pub use scm::{Scm, ScmConfig, ScmError, ScmStats};
 
 use impulse_fault::{BitFlip, FlipInjector, FlipStats};
-use impulse_obs::{prof, Histogram, MetricsRegistry, Observe};
+use impulse_obs::{Histogram, MetricsRegistry, Observe};
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
 use impulse_types::{AccessKind, Cycle, MAddr};
 
@@ -253,7 +253,6 @@ impl Dram {
     /// The access waits for its bank, pays row-hit or row-miss latency,
     /// then occupies the shared data bus for the transfer.
     pub fn access(&mut self, addr: MAddr, kind: AccessKind, bytes: u64, now: Cycle) -> Cycle {
-        let _span = prof::span("dram.access");
         debug_assert!(
             addr.raw() < self.cfg.capacity,
             "DRAM access beyond installed capacity: {addr:?}"
