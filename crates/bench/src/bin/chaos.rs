@@ -2,9 +2,8 @@
 //! grid, the capability contention suite and the hybrid-tier suite —
 //! and writes one document per suite under `out_dir=` (default
 //! `results`): `chaos.json`, `chaos_caps.json` and `chaos_tier.json`.
-//! Any argument outside `USAGE` (the legacy `timeout_ms=`/`attempts=`
-//! spellings included) is rejected with exit code 2 before anything
-//! runs or is written.
+//! Any argument outside `USAGE`, or one given twice, is rejected with
+//! exit code 2 before anything runs or is written.
 //!
 //! All suites share one pool of `jobs=<N>` workers; results are
 //! gathered in submission order and every case draws only from the
@@ -27,15 +26,13 @@ const USAGE: &str = "usage: chaos [seed=N] [jobs=N] [out_dir=results] \
 [journal=results/chaos-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
 
 /// Every `key=` prefix and bare flag `chaos` accepts.
-const KEYS: [&str; 9] = [
+const KEYS: [&str; 7] = [
     "seed=",
     "jobs=",
     "out_dir=",
     "journal=",
     "watchdog_ms=",
     "max_retries=",
-    "timeout_ms=",
-    "attempts=",
     "--resume",
 ];
 

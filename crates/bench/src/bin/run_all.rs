@@ -17,8 +17,7 @@
 //! (`journal=<path>`) as it finishes, a panicking experiment is isolated
 //! to a typed `Err` record while the rest of the grid completes, and
 //! `watchdog_ms=<N>` arms a per-attempt watchdog with `max_retries=<K>`
-//! retries before quarantine (the older `timeout_ms=`/`attempts=`
-//! spellings still work). After a crash or `SIGKILL`, rerunning with
+//! retries before quarantine. After a crash or `SIGKILL`, rerunning with
 //! `--resume` replays the journal, reruns only what is missing or
 //! failed, and emits byte-identical final CSV/JSON.
 //!
@@ -40,8 +39,8 @@
 //! plain runs chart the tier cost next to the paper tables.
 //!
 //! An argument outside the vocabulary in `USAGE` (a typo such as
-//! `job=4`) is rejected with exit code 2 before anything runs or any
-//! file is written.
+//! `job=4`), or one given twice, is rejected with exit code 2 before
+//! anything runs or any file is written.
 //!
 //! For the paper-layout tables with reference values, run the individual
 //! binaries (`table1`, `table2`, `fig1`, ...). For flight-recorder
@@ -66,9 +65,8 @@ const USAGE: &str = "usage: run_all [out=results.csv] [json=results/run_all.json
 [jobs=N] [seed=N] [tier=none|flat|cache] [watchdog_ms=N] [max_retries=K] \
 [--resume]";
 
-/// Every `key=` prefix and bare flag `run_all` accepts, including the
-/// legacy `tier_policy=`, `timeout_ms=` and `attempts=` spellings.
-const KEYS: [&str; 14] = [
+/// Every `key=` prefix and bare flag `run_all` accepts.
+const KEYS: [&str; 11] = [
     "out=",
     "json=",
     "bench=",
@@ -77,11 +75,8 @@ const KEYS: [&str; 14] = [
     "jobs=",
     "seed=",
     "tier=",
-    "tier_policy=",
     "watchdog_ms=",
     "max_retries=",
-    "timeout_ms=",
-    "attempts=",
     "--resume",
 ];
 

@@ -10,10 +10,10 @@
 //! and the hybrid memory tier (none / flat / DRAM-cache-over-SCM).
 //! Overrides: `rows=`, `nnz=`, `seed=`, `jobs=` (worker threads;
 //! default all hardware threads, `jobs=1` for the serial path), plus the
-//! crash-recovery knobs `journal=`, `watchdog_ms=`, `max_retries=` (the
-//! older `timeout_ms=`/`attempts=` spellings still work, as in
-//! `run_all`), and `--resume`. Any other argument, or a malformed value,
-//! is rejected with exit code 2 before anything runs or is written.
+//! crash-recovery knobs `journal=`, `watchdog_ms=`, `max_retries=` and
+//! `--resume`. Any other argument, an argument given twice, or a
+//! malformed value is rejected with exit code 2 before anything runs or
+//! is written.
 //!
 //! Every grid point builds its own `Machine`, so the whole grid fans
 //! across a job pool; rows are gathered and printed in grid order, making
@@ -38,9 +38,8 @@ use impulse_workloads::{Mmp, MmpParams, MmpVariant, Smvp, SmvpVariant, SparsePat
 const USAGE: &str = "usage: sweep [--paper] [rows=N] [nnz=N] [seed=N] [jobs=N] \
 [journal=results/sweep-journal.jsonl] [watchdog_ms=N] [max_retries=K] [--resume]";
 
-/// Every `key=` prefix and bare flag `sweep` accepts, including the
-/// legacy `timeout_ms=` and `attempts=` spellings.
-const KEYS: [&str; 11] = [
+/// Every `key=` prefix and bare flag `sweep` accepts.
+const KEYS: [&str; 9] = [
     "--paper",
     "--resume",
     "rows=",
@@ -50,8 +49,6 @@ const KEYS: [&str; 11] = [
     "journal=",
     "watchdog_ms=",
     "max_retries=",
-    "timeout_ms=",
-    "attempts=",
 ];
 
 fn run(cfg: &SystemConfig, pattern: &Arc<SparsePattern>) -> Report {

@@ -84,31 +84,36 @@ impl std::error::Error for ArgError {}
 /// the shared [`CommonArgs`]. Each entry of `keys` is either a `key=`
 /// prefix or a bare flag such as `--resume` or `--paper`, which must
 /// match exactly. An argument outside the vocabulary (a typo such as
-/// `job=4`) or a malformed shared value is printed with `usage` before
-/// the binary runs or writes anything.
+/// `job=4`), a key or flag given twice, or a malformed shared value is
+/// printed with `usage` before the binary runs or writes anything.
 ///
 /// # Errors
 ///
-/// Returns exit code 2 for either kind of bad argument.
+/// Returns exit code 2 for any of these bad arguments.
 pub fn parse_args(
     args: &[String],
     keys: &[&str],
     usage: &str,
     default_seed: u64,
 ) -> Result<CommonArgs, ExitCode> {
-    let known = |a: &String| {
-        keys.iter().any(|k| {
+    let mut seen: Vec<&str> = Vec::with_capacity(args.len());
+    for a in args {
+        let key = keys.iter().copied().find(|k| {
             if k.ends_with('=') {
                 a.starts_with(k)
             } else {
                 a == k
             }
-        })
-    };
-    match args.iter().find(|a| !known(a)) {
-        Some(bad) => Err(usage_error(format!("unrecognized argument `{bad}`"), usage)),
-        None => CommonArgs::parse(args, default_seed).map_err(|e| usage_error(e, usage)),
+        });
+        match key {
+            None => return Err(usage_error(format!("unrecognized argument `{a}`"), usage)),
+            Some(k) if seen.contains(&k) => {
+                return Err(usage_error(format!("argument `{k}` given twice"), usage))
+            }
+            Some(k) => seen.push(k),
+        }
     }
+    CommonArgs::parse(args, default_seed).map_err(|e| usage_error(e, usage))
 }
 
 /// Reads a binary's own unsigned `key=N` arguments with
@@ -239,19 +244,15 @@ pub fn u64_from_args(args: &[String], key: &'static str, default: u64) -> Result
 
 /// Parses the full supervision policy out of raw command-line
 /// arguments: `watchdog_ms=N` (per-attempt deadline; 0 disables the
-/// watchdog) and `max_retries=K` (attempts before quarantine). The
-/// older spellings `timeout_ms=` and `attempts=` are accepted as
-/// aliases; the new names win when both are given.
+/// watchdog) and `max_retries=K` (attempts before quarantine).
 ///
 /// # Errors
 ///
 /// `max_retries=0` and non-numeric values are rejected with a typed
 /// [`ArgError`] rather than silently falling back to defaults.
 pub fn supervise_from_args(args: &[String]) -> Result<SuperviseOpts, ArgError> {
-    let timeout_alias = u64_from_args(args, "timeout_ms", 0)?;
-    let watchdog_ms = u64_from_args(args, "watchdog_ms", timeout_alias)?;
-    let attempts_alias = u64_from_args(args, "attempts", 2)?;
-    let max_retries = u64_from_args(args, "max_retries", attempts_alias)?;
+    let watchdog_ms = u64_from_args(args, "watchdog_ms", 0)?;
+    let max_retries = u64_from_args(args, "max_retries", 2)?;
     if max_retries == 0 {
         return Err(ArgError::ZeroRetries);
     }
@@ -261,8 +262,7 @@ pub fn supervise_from_args(args: &[String]) -> Result<SuperviseOpts, ArgError> {
     })
 }
 
-/// Parses a `tier=none|flat|cache` argument (alias: `tier_policy=`;
-/// `tier=` wins when both are given), defaulting to
+/// Parses a `tier=none|flat|cache` argument, defaulting to
 /// [`TierPolicy::None`](impulse_types::TierPolicy::None) when absent.
 ///
 /// # Errors
@@ -270,16 +270,7 @@ pub fn supervise_from_args(args: &[String]) -> Result<SuperviseOpts, ArgError> {
 /// Unknown policy names are rejected with a typed [`ArgError`] rather
 /// than silently running untiered.
 pub fn tier_from_args(args: &[String]) -> Result<impulse_types::TierPolicy, ArgError> {
-    let value = args
-        .iter()
-        .rev()
-        .find_map(|a| a.strip_prefix("tier="))
-        .or_else(|| {
-            args.iter()
-                .rev()
-                .find_map(|a| a.strip_prefix("tier_policy="))
-        });
-    match value {
+    match args.iter().rev().find_map(|a| a.strip_prefix("tier=")) {
         None => Ok(impulse_types::TierPolicy::None),
         Some(v) => impulse_types::TierPolicy::parse(v).ok_or_else(|| ArgError::UnknownTier {
             value: v.to_string(),
@@ -289,9 +280,8 @@ pub fn tier_from_args(args: &[String]) -> Result<impulse_types::TierPolicy, ArgE
 
 /// The `key=value` arguments every grid binary shares, parsed once and
 /// typed once: `jobs=` (worker count), `seed=` (master seed),
-/// `watchdog_ms=`/`max_retries=` (supervision; legacy `timeout_ms=` and
-/// `attempts=` aliases accepted), and `tier=none|flat|cache` (alias
-/// `tier_policy=`). New binaries get the whole vocabulary — including
+/// `watchdog_ms=`/`max_retries=` (supervision), and
+/// `tier=none|flat|cache`. New binaries get the whole vocabulary — including
 /// the tier axis — from one call instead of re-growing their own
 /// parsers.
 #[derive(Clone, Debug)]
@@ -300,9 +290,9 @@ pub struct CommonArgs {
     pub jobs: usize,
     /// Master seed (`seed=`).
     pub seed: u64,
-    /// Supervision policy (`watchdog_ms=`, `max_retries=` + aliases).
+    /// Supervision policy (`watchdog_ms=`, `max_retries=`).
     pub supervise: SuperviseOpts,
-    /// Hybrid-tier policy (`tier=`, alias `tier_policy=`).
+    /// Hybrid-tier policy (`tier=`).
     pub tier: impulse_types::TierPolicy,
 }
 
@@ -617,20 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn tier_args_are_typed_with_alias() {
+    fn tier_args_are_typed() {
         use impulse_types::TierPolicy;
         assert_eq!(tier_from_args(&[]), Ok(TierPolicy::None));
         assert_eq!(tier_from_args(&["tier=flat".into()]), Ok(TierPolicy::Flat));
-        assert_eq!(
-            tier_from_args(&["tier_policy=cache".into()]),
-            Ok(TierPolicy::Cache),
-            "legacy-style alias accepted"
-        );
-        assert_eq!(
-            tier_from_args(&["tier_policy=cache".into(), "tier=flat".into()]),
-            Ok(TierPolicy::Flat),
-            "tier= wins over the alias"
-        );
         assert_eq!(
             tier_from_args(&["tier=warp".into()]),
             Err(ArgError::UnknownTier {
@@ -669,12 +649,6 @@ mod tests {
         let d = CommonArgs::parse(&[], 9).expect("defaults");
         assert_eq!(d.seed, 9);
         assert_eq!(d.tier, impulse_types::TierPolicy::None);
-
-        // Legacy supervision aliases flow through unchanged.
-        let legacy: Vec<String> = ["timeout_ms=100", "attempts=4"].map(String::from).to_vec();
-        let l = CommonArgs::parse(&legacy, 0).expect("aliases");
-        assert_eq!(l.supervise.timeout, Some(Duration::from_millis(100)));
-        assert_eq!(l.supervise.max_attempts, 4);
     }
 
     fn shared<T, F: Fn() -> T + Send + Sync + 'static>(f: F) -> SharedJob<T> {
@@ -770,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn supervise_args_are_typed_with_aliases() {
+    fn supervise_args_are_typed() {
         let opts = supervise_from_args(&[]).expect("defaults");
         assert_eq!(opts.timeout, None);
         assert_eq!(opts.max_attempts, 2);
@@ -779,23 +753,6 @@ mod tests {
             .expect("new names");
         assert_eq!(opts.timeout, Some(Duration::from_millis(250)));
         assert_eq!(opts.max_attempts, 5);
-
-        // Old spellings still work...
-        let opts =
-            supervise_from_args(&["timeout_ms=100".into(), "attempts=3".into()]).expect("aliases");
-        assert_eq!(opts.timeout, Some(Duration::from_millis(100)));
-        assert_eq!(opts.max_attempts, 3);
-
-        // ...and the new names win when both are given.
-        let opts = supervise_from_args(&[
-            "timeout_ms=100".into(),
-            "watchdog_ms=400".into(),
-            "attempts=3".into(),
-            "max_retries=7".into(),
-        ])
-        .expect("both");
-        assert_eq!(opts.timeout, Some(Duration::from_millis(400)));
-        assert_eq!(opts.max_attempts, 7);
 
         assert_eq!(
             supervise_from_args(&["max_retries=0".into()]),

@@ -1,8 +1,9 @@
 //! The command-line binaries reject any argument outside their
 //! vocabulary — a typo such as `job=4`, or a removed option such as
-//! `run_all`'s `mode=`/`profile=` or `chaos`'s `out=` — and any
-//! malformed value, such as `sweep`'s `attempts=0`, with exit code 2 and
-//! the usage text, before anything runs or any file is written.
+//! `run_all`'s `mode=`/`profile=`/`timeout_ms=` or `chaos`'s `out=` —
+//! any key given twice, and any malformed value, such as `sweep`'s
+//! `max_retries=0`, with exit code 2 and the usage text, before anything
+//! runs or any file is written.
 
 use std::process::Command;
 
@@ -26,6 +27,11 @@ fn unknown_arguments_exit_2_before_writing_anything() {
                 ("profile=1", "unrecognized argument `profile=1`"),
                 ("--paper", "unrecognized argument `--paper`"),
                 ("jobs", "unrecognized argument `jobs`"),
+                ("timeout_ms=100", "unrecognized argument `timeout_ms=100`"),
+                (
+                    "tier_policy=cache",
+                    "unrecognized argument `tier_policy=cache`",
+                ),
             ],
         ),
         (
@@ -40,6 +46,8 @@ fn unknown_arguments_exit_2_before_writing_anything() {
                     "unrecognized argument `out=results/chaos.json`",
                 ),
                 ("--paper", "unrecognized argument `--paper`"),
+                ("jobs=0", "argument `jobs=` given twice"),
+                ("attempts=2", "unrecognized argument `attempts=2`"),
             ],
         ),
         (
@@ -49,8 +57,9 @@ fn unknown_arguments_exit_2_before_writing_anything() {
             &[
                 ("job=4", "unrecognized argument `job=4`"),
                 ("tier=cache", "unrecognized argument `tier=cache`"),
-                ("attempts=0", "max_retries= wants a positive integer"),
+                ("attempts=0", "unrecognized argument `attempts=0`"),
                 ("max_retries=0", "max_retries= wants a positive integer"),
+                ("jobs=2", "argument `jobs=` given twice"),
             ],
         ),
         (

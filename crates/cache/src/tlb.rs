@@ -9,7 +9,6 @@
 use impulse_obs::{MetricsRegistry, Observe};
 use impulse_types::geom::is_pow2;
 use impulse_types::snap::{SnapError, SnapReader, SnapWriter};
-use impulse_types::FxHashMap;
 
 /// Snapshot section tag for [`Tlb`] (`"TLB "`).
 const TAG_TLB: u32 = 0x544C_4220;
@@ -80,10 +79,39 @@ impl Entry {
     }
 }
 
+/// One bucket of the single-page index: a page number and the slot of
+/// the entry that maps it, or [`Bucket::EMPTY`].
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    vpage: u64,
+    slot: usize,
+}
+
+impl Bucket {
+    const EMPTY: Self = Self {
+        vpage: 0,
+        slot: usize::MAX,
+    };
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.slot == usize::MAX
+    }
+}
+
+/// Buckets per entry, at least: the index never fills past a quarter, so
+/// a probe sequence almost always ends at its home bucket.
+const BUCKETS_PER_ENTRY: usize = 4;
+
+/// Multiplier of the index's multiply-shift hash (`2^64 / φ`).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A fully-associative, NRU-replaced TLB.
 ///
-/// Lookups are O(1): an index maps single-page entries by page number, and
-/// superpage entries (rare) live on a short side list.
+/// Lookups are O(1): a fixed open-addressed table (multiply-shift hash,
+/// linear probing, at least four buckets per entry) maps single-page
+/// entries by page number, and superpage entries (rare) live on a short
+/// side list.
 ///
 /// # Examples
 ///
@@ -101,8 +129,10 @@ impl Entry {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     entries: Vec<Entry>,
-    /// vpage → slot, for span-1 entries only.
-    index: FxHashMap<u64, usize>,
+    /// vpage → slot, for span-1 entries only; a power-of-two table.
+    index: Vec<Bucket>,
+    /// `64 - log2(index.len())`: the hash keeps the product's top bits.
+    shift: u32,
     /// Slots holding superpage entries (span > 1).
     super_slots: Vec<usize>,
     stats: TlbStats,
@@ -116,17 +146,74 @@ impl Tlb {
     /// Panics if `cfg.entries` is zero.
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.entries > 0, "TLB must have at least one entry");
+        let buckets = (cfg.entries * BUCKETS_PER_ENTRY).next_power_of_two();
         Self {
             entries: vec![Entry::INVALID; cfg.entries],
-            index: FxHashMap::default(),
+            index: vec![Bucket::EMPTY; buckets],
+            shift: 64 - buckets.trailing_zeros(),
             super_slots: Vec::new(),
             stats: TlbStats::default(),
         }
     }
 
+    /// The bucket a page's probe sequence starts at.
+    #[inline]
+    fn home(&self, vpage: u64) -> usize {
+        (vpage.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// The bucket holding `vpage`, or the empty bucket that ends its probe
+    /// sequence (the table is never full, so one exists).
+    #[inline]
+    fn probe(&self, vpage: u64) -> usize {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(vpage);
+        loop {
+            let bucket = self.index[b];
+            if bucket.is_empty() || bucket.vpage == vpage {
+                return b;
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Maps `vpage` to `slot`, replacing any slot it was mapped to.
+    fn index_insert(&mut self, vpage: u64, slot: usize) {
+        let b = self.probe(vpage);
+        self.index[b] = Bucket { vpage, slot };
+    }
+
+    /// Unmaps `vpage`, shifting later buckets of its cluster back so no
+    /// probe sequence crosses the freed bucket.
+    fn index_remove(&mut self, vpage: u64) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.probe(vpage);
+        if self.index[hole].is_empty() {
+            return;
+        }
+        let mut b = (hole + 1) & mask;
+        loop {
+            let bucket = self.index[b];
+            if bucket.is_empty() {
+                break;
+            }
+            // The bucket may move into the hole only if its home does not
+            // lie cyclically in (hole, b].
+            let home = self.home(bucket.vpage);
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.index[hole] = bucket;
+                hole = b;
+            }
+            b = (b + 1) & mask;
+        }
+        self.index[hole] = Bucket::EMPTY;
+    }
+
+    #[inline]
     fn slot_of(&self, vpage: u64) -> Option<usize> {
-        if let Some(&i) = self.index.get(&vpage) {
-            return Some(i);
+        let bucket = self.index[self.probe(vpage)];
+        if !bucket.is_empty() {
+            return Some(bucket.slot);
         }
         self.super_slots
             .iter()
@@ -138,7 +225,7 @@ impl Tlb {
         let e = self.entries[i];
         if e.valid {
             if e.span == 1 {
-                self.index.remove(&e.base_vpage);
+                self.index_remove(e.base_vpage);
             } else {
                 self.super_slots.retain(|&s| s != i);
             }
@@ -210,7 +297,7 @@ impl Tlb {
             referenced: true,
         };
         if span == 1 {
-            self.index.insert(base_vpage, victim);
+            self.index_insert(base_vpage, victim);
         } else {
             self.super_slots.push(victim);
         }
@@ -221,7 +308,7 @@ impl Tlb {
         for e in &mut self.entries {
             *e = Entry::INVALID;
         }
-        self.index.clear();
+        self.index.fill(Bucket::EMPTY);
         self.super_slots.clear();
     }
 
@@ -285,10 +372,11 @@ impl Tlb {
             }
             self.super_slots.push(s);
         }
-        self.index.clear();
-        for (i, e) in self.entries.iter().enumerate() {
+        self.index.fill(Bucket::EMPTY);
+        for i in 0..n {
+            let e = self.entries[i];
             if e.valid && e.span == 1 {
-                self.index.insert(e.base_vpage, i);
+                self.index_insert(e.base_vpage, i);
             }
         }
         self.stats.lookups = r.u64()?;

@@ -59,6 +59,20 @@ impl Histogram {
         }
     }
 
+    /// A histogram of `n` samples all equal to `v`: what `n` calls of
+    /// [`Histogram::record`]`(v)` on an empty histogram produce.
+    pub fn constant(v: u64, n: u64) -> Self {
+        let mut h = Self::new();
+        if n > 0 {
+            h.buckets[bucket_of(v)] = n;
+            h.count = n;
+            h.sum = v.saturating_mul(n);
+            h.min = v;
+            h.max = v;
+        }
+        h
+    }
+
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
@@ -315,6 +329,19 @@ mod tests {
         // Wrong lengths are rejected.
         assert!(Histogram::from_state_words(&words[..BUCKETS]).is_none());
         assert!(Histogram::from_state_words(&[]).is_none());
+    }
+
+    #[test]
+    fn constant_equals_repeated_recording() {
+        for v in [0u64, 1, 7, 40, u64::MAX] {
+            for n in [0u64, 1, 3] {
+                let mut h = Histogram::new();
+                for _ in 0..n {
+                    h.record(v);
+                }
+                assert_eq!(Histogram::constant(v, n), h, "v={v} n={n}");
+            }
+        }
     }
 
     #[test]

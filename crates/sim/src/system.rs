@@ -116,12 +116,13 @@ pub struct MemorySystem {
     /// attributed — it never stalls the CPU, so `attr.total()` equals
     /// `load_cycles + store_cycles` exactly.
     attr: Attribution,
-    lat_l1_hit: Histogram,
-    lat_l2_hit: Histogram,
     lat_stream_hit: Histogram,
     lat_mem: Histogram,
-    lat_tlb_walk: Histogram,
+    /// Demand-load latencies other than `t_l1_hit`; see `l1_latency_loads`.
     lat_load: Histogram,
+    /// Loads that took exactly `t_l1_hit` cycles, the common case, kept
+    /// as a count instead of in `lat_load` and merged back on export.
+    l1_latency_loads: u64,
     lat_store: Histogram,
 }
 
@@ -164,12 +165,10 @@ impl MemorySystem {
             l2_line: cfg.l2.line,
             stats: MemStats::default(),
             attr: Attribution::new(),
-            lat_l1_hit: Histogram::new(),
-            lat_l2_hit: Histogram::new(),
             lat_stream_hit: Histogram::new(),
             lat_mem: Histogram::new(),
-            lat_tlb_walk: Histogram::new(),
             lat_load: Histogram::new(),
+            l1_latency_loads: 0,
             lat_store: Histogram::new(),
         }
     }
@@ -220,12 +219,10 @@ impl MemorySystem {
         self.bus.reset_stats();
         self.mc.dram_mut().reset_stats();
         self.attr.reset();
-        self.lat_l1_hit = Histogram::new();
-        self.lat_l2_hit = Histogram::new();
         self.lat_stream_hit = Histogram::new();
         self.lat_mem = Histogram::new();
-        self.lat_tlb_walk = Histogram::new();
         self.lat_load = Histogram::new();
+        self.l1_latency_loads = 0;
         self.lat_store = Histogram::new();
     }
 
@@ -235,8 +232,10 @@ impl MemorySystem {
     }
 
     /// Latency distribution of demand loads (end to end, incl. TLB).
-    pub fn load_latency(&self) -> &Histogram {
-        &self.lat_load
+    pub fn load_latency(&self) -> Histogram {
+        let mut h = Histogram::constant(self.t_l1_hit, self.l1_latency_loads);
+        h.merge(&self.lat_load);
+        h
     }
 
     /// Latency distribution of demand stores (end to end, incl. TLB).
@@ -260,7 +259,6 @@ impl MemorySystem {
             Outcome::Hit => {
                 self.stats.l1_load_hits += 1;
                 self.attr.charge(Stage::L1, self.t_l1_hit);
-                self.lat_l1_hit.record(self.t_l1_hit);
                 t + self.t_l1_hit
             }
             Outcome::Miss { writeback } => {
@@ -279,8 +277,13 @@ impl MemorySystem {
             }
             Outcome::Bypass => unreachable!("loads never bypass"),
         };
-        self.stats.load_cycles += done - now;
-        self.lat_load.record(done - now);
+        let latency = done - now;
+        self.stats.load_cycles += latency;
+        if latency == self.t_l1_hit {
+            self.l1_latency_loads += 1;
+        } else {
+            self.lat_load.record(latency);
+        }
         done
     }
 
@@ -364,7 +367,6 @@ impl MemorySystem {
             Outcome::Hit => {
                 self.stats.store_l1_hits += 1;
                 self.attr.charge(Stage::L1, self.t_l1_hit);
-                self.lat_l1_hit.record(self.t_l1_hit);
                 t + self.t_l1_hit
             }
             // Write-around L1: the store proceeds to the L2.
@@ -390,7 +392,6 @@ impl MemorySystem {
             self.tlb.insert(span.0, span.1);
             self.stats.tlb_penalties += 1;
             self.attr.charge(Stage::Mmu, self.t_tlb_miss);
-            self.lat_tlb_walk.record(self.t_tlb_miss);
             now + self.t_tlb_miss
         }
     }
@@ -401,7 +402,6 @@ impl MemorySystem {
             Outcome::Hit => {
                 self.stats.l2_load_hits += 1;
                 self.attr.charge(Stage::L2, self.t_l2_hit);
-                self.lat_l2_hit.record(self.t_l2_hit);
                 t + self.t_l2_hit
             }
             Outcome::Miss { writeback } => {
@@ -576,7 +576,8 @@ impl MemorySystem {
 
     /// Serializes the whole hierarchy: caches, TLB, stream buffers, bus,
     /// controller (with DRAM, page table, and descriptors), demand
-    /// statistics, cycle attribution, and every latency histogram.
+    /// statistics, cycle attribution, and every recorded latency histogram
+    /// (the fixed-latency ones are derived from the statistics).
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.tag(TAG_MSYS);
         self.l1.snap_save(w);
@@ -611,12 +612,10 @@ impl MemorySystem {
         for stage in Stage::ALL {
             w.u64(self.attr.get(stage));
         }
+        w.u64(self.l1_latency_loads);
         for h in [
-            &self.lat_l1_hit,
-            &self.lat_l2_hit,
             &self.lat_stream_hit,
             &self.lat_mem,
-            &self.lat_tlb_walk,
             &self.lat_load,
             &self.lat_store,
         ] {
@@ -668,12 +667,10 @@ impl MemorySystem {
         for stage in Stage::ALL {
             self.attr.charge(stage, r.u64()?);
         }
+        self.l1_latency_loads = r.u64()?;
         for h in [
-            &mut self.lat_l1_hit,
-            &mut self.lat_l2_hit,
             &mut self.lat_stream_hit,
             &mut self.lat_mem,
-            &mut self.lat_tlb_walk,
             &mut self.lat_load,
             &mut self.lat_store,
         ] {
@@ -703,12 +700,23 @@ impl Observe for MemorySystem {
         m.counter("mem.remap_faults", s.remap_faults);
         m.counter("mem.tier_faults", s.tier_faults);
         m.gauge("mem.avg_load_time", s.avg_load_time());
-        m.histogram("mem.lat_l1_hit", &self.lat_l1_hit);
-        m.histogram("mem.lat_l2_hit", &self.lat_l2_hit);
+        // Every L1 hit, L2 load hit and TLB walk takes a fixed latency, so
+        // those three histograms are rebuilt from the counters.
+        m.histogram(
+            "mem.lat_l1_hit",
+            &Histogram::constant(self.t_l1_hit, s.l1_load_hits + s.store_l1_hits),
+        );
+        m.histogram(
+            "mem.lat_l2_hit",
+            &Histogram::constant(self.t_l2_hit, s.l2_load_hits),
+        );
         m.histogram("mem.lat_stream_hit", &self.lat_stream_hit);
         m.histogram("mem.lat_mem", &self.lat_mem);
-        m.histogram("mem.lat_tlb_walk", &self.lat_tlb_walk);
-        m.histogram("mem.lat_load", &self.lat_load);
+        m.histogram(
+            "mem.lat_tlb_walk",
+            &Histogram::constant(self.t_tlb_miss, s.tlb_penalties),
+        );
+        m.histogram("mem.lat_load", &self.load_latency());
         m.histogram("mem.lat_store", &self.lat_store);
         for (stage, cycles) in self.attr.entries() {
             m.counter(&format!("attr.{}", stage.name()), cycles);
@@ -1034,7 +1042,10 @@ mod tests {
     #[test]
     fn attribution_totals_equal_demand_cycles() {
         // Exercise every demand path: cold misses, L1/L2 hits, TLB
-        // penalties, stores, prefetch and stream variants.
+        // penalties, stores, prefetch and stream variants. Alongside, every
+        // exported latency histogram is rebuilt the obvious way: each
+        // access's latency into the load or store reference, and each
+        // outcome, read off the counters it bumped, into its own.
         for (l1pf, mcpf, streams) in [
             (false, false, false),
             (true, true, false),
@@ -1045,15 +1056,59 @@ mod tests {
                 cfg = cfg.with_stream_buffers();
             }
             let mut ms = MemorySystem::new(&cfg);
+            let mut want: std::collections::BTreeMap<&str, Histogram> = Default::default();
+            let mut record = |name, v| want.entry(name).or_default().record(v);
             let mut t = 0;
             for i in 0..600u64 {
                 let a = 0x100000 + (i * 72) % (1 << 20);
+                // Every third access returns near the previous one, so
+                // loads and stores also hit the L1.
+                let a = if i % 3 == 2 { a - 64 } else { a };
                 let v = va(a);
-                if i % 5 == 4 {
-                    t = ms.store(v, pa(a), span_of(v), t);
+                let before = ms.stats();
+                let (kind, done) = if i % 5 == 4 {
+                    ("store", ms.store(v, pa(a), span_of(v), t))
                 } else {
-                    t = ms.load(v, pa(a), span_of(v), t);
+                    ("load", ms.load(v, pa(a), span_of(v), t))
+                };
+                record(kind, done - t);
+                let after = ms.stats();
+                let walk = if after.tlb_penalties > before.tlb_penalties {
+                    record("tlb_walk", cfg.t_tlb_miss);
+                    cfg.t_tlb_miss
+                } else {
+                    0
+                };
+                let l1_hits = |s: MemStats| s.l1_load_hits + s.store_l1_hits;
+                if l1_hits(after) > l1_hits(before) {
+                    record("l1_hit", cfg.t_l1_hit);
                 }
+                if after.l2_load_hits > before.l2_load_hits {
+                    record("l2_hit", cfg.t_l2_hit);
+                }
+                if after.stream_loads > before.stream_loads {
+                    record("stream_hit", done - t - walk);
+                }
+                if after.mem_loads > before.mem_loads {
+                    record("mem", done - t - walk);
+                }
+                t = done;
+            }
+            let reg = ms.observe_all();
+            for name in [
+                "l1_hit",
+                "l2_hit",
+                "stream_hit",
+                "mem",
+                "tlb_walk",
+                "load",
+                "store",
+            ] {
+                assert_eq!(
+                    reg.histogram_value(&format!("mem.lat_{name}")),
+                    Some(&want.remove(name).unwrap_or_default()),
+                    "mem.lat_{name} (l1pf={l1pf} mcpf={mcpf} streams={streams})"
+                );
             }
             let s = ms.stats();
             assert_eq!(

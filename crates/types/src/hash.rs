@@ -2,8 +2,8 @@
 //!
 //! The standard library's `HashMap` defaults to SipHash-1-3, which is
 //! DoS-resistant but costs tens of cycles per lookup — measurable on the
-//! translate paths (`PgTbl`, the CPU TLB index, the OS page tables) that
-//! run once per simulated memory access. The simulator hashes only small
+//! translate paths (`PgTbl`, the OS page tables) that run once per
+//! simulated memory access. The simulator hashes only small
 //! integer keys it generates itself (page numbers, descriptor slots), so
 //! collision-flooding resistance buys nothing here.
 //!
